@@ -106,11 +106,22 @@ int Fail(const Status& st) {
   return 1;
 }
 
+/// Unwraps a numeric flag: a value that does not parse ends the run
+/// with exit code 2 before it does any work.
+template <typename T>
+T FlagOrExit(Result<T> flag) {
+  if (!flag.ok()) {
+    Fail(flag.status());
+    std::exit(2);
+  }
+  return flag.value();
+}
+
 Result<Dataset> LoadData(const FlagParser& flags) {
   const std::string synthetic = flags.GetString("synthetic", "");
   if (!synthetic.empty()) {
     const uint64_t seed = static_cast<uint64_t>(
-        flags.GetInt("seed", 42).value());
+        FlagOrExit(flags.GetInt("seed", 42)));
     Dataset d = synthetic == "ctr"
                     ? GenerateSynthetic(CtrLikeConfig(1.0, seed))
                     : GenerateSynthetic(UrlLikeConfig(1.0, seed));
@@ -138,11 +149,11 @@ std::unique_ptr<RunReporter> MakeReporter(
   opts.timeseries_out = flags.GetString("timeseries_out", "");
   opts.flightrec_out = flags.GetString("flightrec_out", "");
   opts.report_every =
-      static_cast<int>(flags.GetInt("report_every", 0).value());
+      static_cast<int>(FlagOrExit(flags.GetInt("report_every", 0)));
   const int trace_kb =
-      static_cast<int>(flags.GetInt("trace_buffer_kb", 256).value());
+      static_cast<int>(FlagOrExit(flags.GetInt("trace_buffer_kb", 256)));
   const int flightrec_events =
-      static_cast<int>(flags.GetInt("flightrec_events", 4096).value());
+      static_cast<int>(FlagOrExit(flags.GetInt("flightrec_events", 4096)));
   if (opts.metrics_out.empty() && opts.trace_out.empty() &&
       opts.timeseries_out.empty() && opts.flightrec_out.empty()) {
     return nullptr;
@@ -213,7 +224,7 @@ PartitionScheme ParseScheme(const FlagParser& flags, Status* st) {
 SyncPolicy ParseSync(const FlagParser& flags, Status* st) {
   const std::string protocol = flags.GetString("protocol", "ssp");
   const int s =
-      static_cast<int>(flags.GetInt("staleness", 3).value());
+      static_cast<int>(FlagOrExit(flags.GetInt("staleness", 3)));
   if (protocol == "bsp") return SyncPolicy::Bsp();
   if (protocol == "asp") return SyncPolicy::Asp();
   if (protocol == "ssp") return SyncPolicy::Ssp(s);
@@ -250,28 +261,28 @@ int RunTrainRpc(const FlagParser& flags) {
   Status sync_st;
   opts.sync = ParseSync(flags, &sync_st);
   if (!sync_st.ok()) return Fail(sync_st);
-  opts.max_clocks = static_cast<int>(flags.GetInt("clocks", 20).value());
-  opts.l2 = flags.GetDouble("l2", 1e-4).value();
-  opts.batch_fraction = flags.GetDouble("batch-fraction", 0.1).value();
+  opts.max_clocks = static_cast<int>(FlagOrExit(flags.GetInt("clocks", 20)));
+  opts.l2 = FlagOrExit(flags.GetDouble("l2", 1e-4));
+  opts.batch_fraction = FlagOrExit(flags.GetDouble("batch-fraction", 0.1));
   opts.num_workers =
-      static_cast<int>(flags.GetInt("workers", 4).value());
+      static_cast<int>(FlagOrExit(flags.GetInt("workers", 4)));
   opts.num_servers =
-      static_cast<int>(flags.GetInt("servers", 2).value());
-  opts.seed = static_cast<uint64_t>(flags.GetInt("seed", 42).value());
+      static_cast<int>(FlagOrExit(flags.GetInt("servers", 2)));
+  opts.seed = static_cast<uint64_t>(FlagOrExit(flags.GetInt("seed", 42)));
   opts.push_window =
-      static_cast<int>(flags.GetInt("push_window", 0).value());
+      static_cast<int>(FlagOrExit(flags.GetInt("push_window", 0)));
   opts.push_parallelism =
-      static_cast<int>(flags.GetInt("push_parallelism", 1).value());
+      static_cast<int>(FlagOrExit(flags.GetInt("push_parallelism", 1)));
   opts.heartbeat_timeout =
-      flags.GetDouble("heartbeat_timeout", 0.0).value();
+      FlagOrExit(flags.GetDouble("heartbeat_timeout", 0.0));
   opts.evict_dead_workers = flags.GetBool("evict_dead_workers", true);
   opts.rebalance = flags.GetBool("rebalance", false);
   opts.straggler_threshold =
-      flags.GetDouble("straggler_threshold", 1.2).value();
+      FlagOrExit(flags.GetDouble("straggler_threshold", 1.2));
   opts.rebalance_hysteresis = static_cast<int>(
-      flags.GetInt("rebalance_hysteresis", 3).value());
+      FlagOrExit(flags.GetInt("rebalance_hysteresis", 3)));
   opts.reassign_fraction =
-      flags.GetDouble("reassign_fraction", 0.05).value();
+      FlagOrExit(flags.GetDouble("reassign_fraction", 0.05));
   auto delays = ParseDelayList(flags.GetString("compute_delay", ""));
   if (!delays.ok()) return Fail(delays.status());
   opts.injected_compute_delay = std::move(delays.value());
@@ -279,7 +290,7 @@ int RunTrainRpc(const FlagParser& flags) {
 
   auto rule = MakeConsolidationRule(flags.GetString("rule", "dyn"));
   auto loss = MakeLoss(flags.GetString("loss", "logistic"));
-  const double lr = flags.GetDouble("lr", 0.3).value();
+  const double lr = FlagOrExit(flags.GetDouble("lr", 0.3));
   std::unique_ptr<LearningRateSchedule> sched;
   if (flags.GetBool("decay", false)) {
     sched = std::make_unique<DecayedRate>(lr);
@@ -340,30 +351,30 @@ int RunTrain(const FlagParser& flags) {
   cfg.sync = ParseSync(flags, &sync_st);
   if (!sync_st.ok()) return Fail(sync_st);
   cfg.num_workers =
-      static_cast<int>(flags.GetInt("workers", 4).value());
+      static_cast<int>(FlagOrExit(flags.GetInt("workers", 4)));
   cfg.num_servers =
-      static_cast<int>(flags.GetInt("servers", 2).value());
+      static_cast<int>(FlagOrExit(flags.GetInt("servers", 2)));
   cfg.partitions_per_server =
-      static_cast<int>(flags.GetInt("partitions", 2).value());
+      static_cast<int>(FlagOrExit(flags.GetInt("partitions", 2)));
   Status scheme_st;
   cfg.scheme = ParseScheme(flags, &scheme_st);
   if (!scheme_st.ok()) return Fail(scheme_st);
-  cfg.max_clocks = static_cast<int>(flags.GetInt("clocks", 20).value());
-  cfg.learning_rate = flags.GetDouble("lr", 0.3).value();
+  cfg.max_clocks = static_cast<int>(FlagOrExit(flags.GetInt("clocks", 20)));
+  cfg.learning_rate = FlagOrExit(flags.GetDouble("lr", 0.3));
   cfg.decayed_rate = flags.GetBool("decay", false);
-  cfg.l2 = flags.GetDouble("l2", 1e-4).value();
+  cfg.l2 = FlagOrExit(flags.GetDouble("l2", 1e-4));
   cfg.batch_fraction =
-      flags.GetDouble("batch-fraction", 0.1).value();
+      FlagOrExit(flags.GetDouble("batch-fraction", 0.1));
   cfg.update_filter_epsilon =
-      flags.GetDouble("update_filter", 0.0).value();
+      FlagOrExit(flags.GetDouble("update_filter", 0.0));
   // Push pipeline: --push_window=N overlaps pushes with compute
   // (0 = synchronous), --push_parallelism fans push application across
   // server shards (1 = serial, 0 = auto).
   cfg.push_window =
-      static_cast<int>(flags.GetInt("push_window", 0).value());
+      static_cast<int>(FlagOrExit(flags.GetInt("push_window", 0)));
   cfg.push_parallelism =
-      static_cast<int>(flags.GetInt("push_parallelism", 1).value());
-  cfg.seed = static_cast<uint64_t>(flags.GetInt("seed", 42).value());
+      static_cast<int>(FlagOrExit(flags.GetInt("push_parallelism", 1)));
+  cfg.seed = static_cast<uint64_t>(FlagOrExit(flags.GetInt("seed", 42)));
 
   std::unique_ptr<RunReporter> reporter = MakeReporter(
       flags, {{"command", "train"},
@@ -439,80 +450,80 @@ int RunPredict(const FlagParser& flags) {
 int RunSimulate(const FlagParser& flags) {
   auto data = LoadData(flags);
   if (!data.ok()) return Fail(data.status());
-  const double hl = flags.GetDouble("hl", 2.0).value();
+  const double hl = FlagOrExit(flags.GetDouble("hl", 2.0));
   const int workers =
-      static_cast<int>(flags.GetInt("workers", 30).value());
+      static_cast<int>(FlagOrExit(flags.GetInt("workers", 30)));
   const int servers =
-      static_cast<int>(flags.GetInt("servers", 10).value());
+      static_cast<int>(FlagOrExit(flags.GetInt("servers", 10)));
   auto rule =
       MakeConsolidationRule(flags.GetString("rule", "dyn"));
   auto loss = MakeLoss(flags.GetString("loss", "logistic"));
-  FixedRate sched(flags.GetDouble("lr", 2.0).value());
+  FixedRate sched(FlagOrExit(flags.GetDouble("lr", 2.0)));
   SimOptions options;
   Status sync_st;
   options.sync = ParseSync(flags, &sync_st);
   if (!sync_st.ok()) return Fail(sync_st);
   options.max_clocks =
-      static_cast<int>(flags.GetInt("clocks", 60).value());
+      static_cast<int>(FlagOrExit(flags.GetInt("clocks", 60)));
   options.partitions_per_server =
-      static_cast<int>(flags.GetInt("partitions", 1).value());
+      static_cast<int>(FlagOrExit(flags.GetInt("partitions", 1)));
   Status scheme_st;
   options.scheme = ParseScheme(flags, &scheme_st);
   if (!scheme_st.ok()) return Fail(scheme_st);
   options.update_filter_epsilon =
-      flags.GetDouble("update_filter", 0.0).value();
+      FlagOrExit(flags.GetDouble("update_filter", 0.0));
   // Push pipelining model: -1 = legacy unbounded overlap, 0 =
   // synchronous, >= 1 = bounded window (see SimOptions::push_window).
   options.push_window =
-      static_cast<int>(flags.GetInt("push_window", -1).value());
+      static_cast<int>(FlagOrExit(flags.GetInt("push_window", -1)));
   options.objective_tolerance =
-      flags.GetDouble("tolerance", 0.4).value();
-  options.l2 = flags.GetDouble("l2", 1e-4).value();
+      FlagOrExit(flags.GetDouble("tolerance", 0.4));
+  options.l2 = FlagOrExit(flags.GetDouble("l2", 1e-4));
   // Liveness / failure injection (see DESIGN.md "Failure model & worker
   // eviction"): --kill_worker/--kill_at_clock crash-stop one worker,
   // --heartbeat_timeout arms eviction, --evict_dead_workers=0 shows the
   // stall instead.
   options.kill_worker =
-      static_cast<int>(flags.GetInt("kill_worker", -1).value());
+      static_cast<int>(FlagOrExit(flags.GetInt("kill_worker", -1)));
   if (options.kill_worker >= workers) {
     return Fail(Status::InvalidArgument(
         "--kill_worker=" + std::to_string(options.kill_worker) +
         " is out of range for --workers=" + std::to_string(workers)));
   }
   options.kill_at_clock =
-      static_cast<int>(flags.GetInt("kill_at_clock", -1).value());
+      static_cast<int>(FlagOrExit(flags.GetInt("kill_at_clock", -1)));
   options.heartbeat_timeout_seconds =
-      flags.GetDouble("heartbeat_timeout", 0.0).value();
+      FlagOrExit(flags.GetDouble("heartbeat_timeout", 0.0));
   options.evict_dead_workers = flags.GetBool("evict_dead_workers", true);
   // Load-balancing plane: --rebalance migrates examples off persistent
   // stragglers; --slow_worker/--slow_multiplier inject a transient
   // congestion episode to chase (see EXPERIMENTS.md).
   options.rebalance = flags.GetBool("rebalance", false);
   options.straggler_threshold =
-      flags.GetDouble("straggler_threshold", 1.2).value();
+      FlagOrExit(flags.GetDouble("straggler_threshold", 1.2));
   options.rebalance_hysteresis = static_cast<int>(
-      flags.GetInt("rebalance_hysteresis", 3).value());
+      FlagOrExit(flags.GetInt("rebalance_hysteresis", 3)));
   options.reassign_fraction =
-      flags.GetDouble("reassign_fraction", 0.05).value();
+      FlagOrExit(flags.GetDouble("reassign_fraction", 0.05));
   options.slow_worker =
-      static_cast<int>(flags.GetInt("slow_worker", -1).value());
+      static_cast<int>(FlagOrExit(flags.GetInt("slow_worker", -1)));
   if (options.slow_worker >= workers) {
     return Fail(Status::InvalidArgument(
         "--slow_worker=" + std::to_string(options.slow_worker) +
         " is out of range for --workers=" + std::to_string(workers)));
   }
   options.slow_from_clock =
-      static_cast<int>(flags.GetInt("slow_from_clock", 0).value());
+      static_cast<int>(FlagOrExit(flags.GetInt("slow_from_clock", 0)));
   options.slow_until_clock =
-      static_cast<int>(flags.GetInt("slow_until_clock", 0).value());
+      static_cast<int>(FlagOrExit(flags.GetInt("slow_until_clock", 0)));
   options.slow_multiplier =
-      flags.GetDouble("slow_multiplier", 1.0).value();
+      FlagOrExit(flags.GetDouble("slow_multiplier", 1.0));
   if (options.kill_worker >= 0 &&
       options.heartbeat_timeout_seconds <= 0.0) {
     // A kill without the liveness plane stalls until max_sim_seconds;
     // bound the demonstration.
     options.max_sim_seconds =
-        flags.GetDouble("max_sim_seconds", 600.0).value();
+        FlagOrExit(flags.GetDouble("max_sim_seconds", 600.0));
   }
   const ClusterConfig cluster =
       ClusterConfig::WithStragglers(workers, servers, hl, 0.2);
@@ -671,7 +682,7 @@ int RunObsCtl(const FlagParser& flags) {
              exemplars == "on" ? "exemplars on" : "exemplars off");
     if (rc != 0) return rc;
   }
-  const int64_t slow_us = flags.GetInt("slow_us", -1).value();
+  const int64_t slow_us = FlagOrExit(flags.GetInt("slow_us", -1));
   if (slow_us >= 0) {
     const std::string op_name = flags.GetString("slow_op", "all");
     const uint8_t op = OpByteFromName(op_name);
@@ -769,8 +780,8 @@ int RunTop(const FlagParser& flags) {
   Status conn = ConnectGateway(flags, &client);
   if (!conn.ok()) return Fail(conn);
   const int interval_ms =
-      static_cast<int>(flags.GetInt("interval_ms", 500).value());
-  const int iters = static_cast<int>(flags.GetInt("iters", 0).value());
+      static_cast<int>(FlagOrExit(flags.GetInt("interval_ms", 500)));
+  const int iters = static_cast<int>(FlagOrExit(flags.GetInt("iters", 0)));
   for (int i = 0; iters <= 0 || i < iters; ++i) {
     auto status_json =
         GatewayCall(&client, {static_cast<uint8_t>(PsOpCode::kStatus)});
@@ -1122,9 +1133,13 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "unknown command: %s\n", command.c_str());
     return 1;
   }
-  for (const std::string& name : flags.UnusedFlags()) {
-    std::fprintf(stderr, "warning: unused flag --%s\n", name.c_str());
+  // A flag the command never read is a typo or belongs to another
+  // command; either way the run did not do what was asked.
+  const std::vector<std::string> unused = flags.UnusedFlags();
+  for (const std::string& name : unused) {
+    std::fprintf(stderr, "error: unused flag --%s\n", name.c_str());
   }
+  if (rc == 0 && !unused.empty()) rc = 2;
   return rc;
 }
 

@@ -95,8 +95,8 @@ bool ClockTable::OnPush(int worker, int clock) {
   }
   // clock counts *finished* clocks: a push at clock c means c+1 finished.
   // The table is monotone per worker: a stale or duplicate push (possible
-  // on the direct in-process WorkerClient::Push path, which bypasses the
-  // PsService (worker, clock) dedup) must never move a worker's clock
+  // over the in-process transport, which bypasses the PsService
+  // (worker, clock) dedup) must never move a worker's clock
   // backwards — that would corrupt the cmin/cmax invariants (cmin could
   // no longer be the min of finished clocks, and SSP admission decisions
   // already taken against the higher clock would become unsound).

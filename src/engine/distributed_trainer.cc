@@ -213,21 +213,7 @@ Result<DistributedTrainResult> TrainDistributed(
 
   auto worker_body = [&](int m) {
     using SteadyClock = std::chrono::steady_clock;
-    auto seconds_since = [](SteadyClock::time_point start) {
-      return std::chrono::duration<double>(SteadyClock::now() - start)
-          .count();
-    };
-    Status& my_status = worker_status[static_cast<size_t>(m)];
-    WorkerTimeBreakdown& breakdown = breakdowns[static_cast<size_t>(m)];
-    // An RPC rejected because *this* worker was evicted is the liveness
-    // plane working as designed (e.g. a hung worker waking up after its
-    // eviction), not a run failure: clear the status so the run's
-    // verdict comes from the survivors.
-    const auto evicted_by_design = [&]() {
-      return my_status.IsFailedPrecondition() &&
-             evicted[static_cast<size_t>(m)].load(
-                 std::memory_order_acquire);
-    };
+    const size_t mi = static_cast<size_t>(m);
     HistogramMetric* iter_us = GlobalMetrics().histogram(
         "worker.iter_us", {{"worker", std::to_string(m)}});
     // Live per-clock phase histograms: the end-of-run breakdown gauges
@@ -239,183 +225,145 @@ Result<DistributedTrainResult> TrainDistributed(
         "worker.compute_us", {{"worker", std::to_string(m)}});
     TraceRecorder::Global().NameThisThread("worker-" +
                                            std::to_string(m));
-    RpcWorkerClient client(m, &bus, "ps", options.rpc_retry,
-                           options.push_window);
+    PsClient client(
+        m, std::make_unique<BusTransport>(m, &bus, "ps", options.rpc_retry),
+        options.delta_pull, options.push_window);
     LocalWorkerSgd::Options sgd_opts;
     sgd_opts.batch_size = LocalWorkerSgd::BatchSizeForFraction(
-        shards[static_cast<size_t>(m)].size(), options.batch_fraction);
+        shards[mi].size(), options.batch_fraction);
     sgd_opts.l2 = options.l2;
-    LocalWorkerSgd sgd(&dataset, shards[static_cast<size_t>(m)], &loss,
-                       &schedule, sgd_opts);
+    LocalWorkerSgd sgd(&dataset, shards[mi], &loss, &schedule, sgd_opts);
     // Entitlement generation this worker's SGD shard reflects; refreshed
     // from owned[m] at clock boundaries when the service loop moved
     // examples (failover or rebalancing).
     uint64_t seen_gen = 0;
     const double injected_delay =
-        static_cast<size_t>(m) < options.injected_compute_delay.size()
-            ? options.injected_compute_delay[static_cast<size_t>(m)]
+        mi < options.injected_compute_delay.size()
+            ? options.injected_compute_delay[mi]
             : 0.0;
-    // One pull path per run: the version-aware cached pull (ships only
-    // changed partitions) or the legacy whole-model pull.
-    const auto do_pull = [&](std::vector<double>* replica_out,
-                             int* cp_out) {
-      return options.delta_pull ? client.PullCached(replica_out, cp_out)
-                                : client.Pull(replica_out, cp_out);
-    };
-    // A (re)starting worker pulls the latest parameter from the PS.
-    std::vector<double> replica;
-    int cp = 0;
-    {
-      const auto pull_start = SteadyClock::now();
-      my_status = do_pull(&replica, &cp);
-      breakdown.comm_seconds += seconds_since(pull_start);
-    }
-    if (!my_status.ok()) {
-      if (evicted_by_design()) my_status = Status::OK();
-      return;
-    }
-    for (int c = start_clock; c < end_clock; ++c) {
-      // Injected process faults (FaultPlan.fault_worker), applied just
-      // before this clock starts.
-      if (m == options.fault_plan.fault_worker &&
-          c == options.fault_plan.kill_at_clock) {
-        if (options.fault_plan.hang_seconds > 0.0) {
-          // Temporary hang: go silent for hang_seconds of virtual time.
-          // The clock only advances while other workers' requests tick
-          // the service, so this needs no wall-clock sleep. Own-eviction
-          // is an exit condition — once evicted, ticks may stop (the
-          // survivors finish) and the resume time would never arrive.
-          FlightRecorder::Global().Record(
-              "fault.hang", m, c, options.fault_plan.hang_seconds);
-          const double resume_at =
-              service.LivenessNow() + options.fault_plan.hang_seconds;
-          while (service.LivenessNow() < resume_at &&
-                 !evicted[static_cast<size_t>(m)].load(
-                     std::memory_order_acquire)) {
-            std::this_thread::yield();
+    double compute_seconds = 0.0;
+    // The worker's life: returns when it finishes, is killed by fault
+    // injection, or an RPC fails.
+    const auto run = [&]() -> Status {
+      // A (re)starting worker pulls the latest parameter from the PS.
+      std::vector<double> replica;
+      HETPS_RETURN_NOT_OK(client.Refresh(&replica));
+      for (int c = start_clock; c < end_clock; ++c) {
+        // Injected process faults (FaultPlan.fault_worker), applied just
+        // before this clock starts.
+        if (m == options.fault_plan.fault_worker &&
+            c == options.fault_plan.kill_at_clock) {
+          if (options.fault_plan.hang_seconds > 0.0) {
+            // Temporary hang: go silent for hang_seconds of virtual time.
+            // The clock only advances while other workers' requests tick
+            // the service, so this needs no wall-clock sleep. Own
+            // eviction is an exit condition — once evicted, ticks may
+            // stop (the survivors finish) and the resume time would
+            // never arrive.
+            FlightRecorder::Global().Record(
+                "fault.hang", m, c, options.fault_plan.hang_seconds);
+            const double resume_at =
+                service.LivenessNow() + options.fault_plan.hang_seconds;
+            while (service.LivenessNow() < resume_at &&
+                   !evicted[mi].load(std::memory_order_acquire)) {
+              std::this_thread::yield();
+            }
+          } else {
+            // Crash-stop: the worker simply stops sending, forever. Not
+            // an error — the run's verdict is the survivors' business.
+            HETPS_LOG(Warning) << "fault injection: killing worker " << m
+                               << " before clock " << c;
+            FlightRecorder::Global().Record("fault.kill", m, c);
+            return Status::OK();
           }
-        } else {
-          // Crash-stop: the worker simply stops sending, forever. Not an
-          // error — the run's verdict is the survivors' business.
-          HETPS_LOG(Warning) << "fault injection: killing worker " << m
-                             << " before clock " << c;
-          FlightRecorder::Global().Record("fault.kill", m, c);
-          return;
         }
-      }
-      // Refresh the SGD shard from the owned[] entitlement when the
-      // service loop changed it (eviction failover or rebalancing) —
-      // copied at clock boundaries so a batch never changes mid-compute.
-      {
-        std::lock_guard<std::mutex> lock(failover_mu);
-        const uint64_t gen = shard_gen[static_cast<size_t>(m)];
-        if (gen != seen_gen) {
-          sgd.mutable_shard()->example_indices =
-              owned[static_cast<size_t>(m)];
-          seen_gen = gen;
-        }
-      }
-      HETPS_TRACE_SPAN2("worker.clock", "worker", m, "clock", c);
-      const auto iter_start = SteadyClock::now();
-      SparseVector update;
-      double compute_secs = 0.0;
-      {
-        HETPS_TRACE_SPAN1("worker.compute", "worker", m);
-        const auto compute_start = SteadyClock::now();
-        if (injected_delay > 0.0) {
-          // The paper's slowdown-injection protocol: the straggler's
-          // clock really takes longer, so the timing report below and
-          // every downstream straggler decision see a genuine slowdown.
-          std::this_thread::sleep_for(
-              std::chrono::duration<double>(injected_delay));
-        }
-        sgd.RunClock(c, &replica, &update);
-        compute_secs = seconds_since(compute_start);
-        breakdown.compute_seconds += compute_secs;
-        compute_us->RecordInt(static_cast<int64_t>(compute_secs * 1e6));
-      }
-      {
-        const auto push_start = SteadyClock::now();
-        my_status = client.Push(c, update);
-        breakdown.comm_seconds += seconds_since(push_start);
-      }
-      if (!my_status.ok()) {
-        if (evicted_by_design()) my_status = Status::OK();
-        return;
-      }
-      if (options.rebalance) {
-        // Feed the load-balancing plane this clock's measured compute
-        // time (kReportClock drives Master::ReportClockTime and the
-        // balancer's decision on the service loop).
-        const auto report_start = SteadyClock::now();
-        my_status = client.ReportClock(c, compute_secs);
-        breakdown.comm_seconds += seconds_since(report_start);
-        if (!my_status.ok()) {
-          if (evicted_by_design()) my_status = Status::OK();
-          return;
-        }
-      }
-      ++breakdown.clocks_completed;
-      if (m == 0) {
-        const size_t n = options.eval_sample == 0 ? dataset.size()
-                                                  : options.eval_sample;
-        trace.push_back(
-            dataset.ObjectiveSample(loss, replica, options.l2, n));
-        if (options.checkpoint_every_clocks > 0 &&
-            (c + 1 - start_clock) % options.checkpoint_every_clocks ==
-                0) {
-          // Checkpointing runs beside live traffic; the PS serializes
-          // shard access internally.
-          Status st = SaveCheckpointToFile(ps, options.checkpoint_path);
-          if (!st.ok()) checkpoint_status = st;
-        }
-      }
-      if (options.sync.NeedsPull(c, cp)) {
+        // Refresh the SGD shard from the owned[] entitlement when the
+        // service loop changed it (eviction failover or rebalancing) —
+        // copied at clock boundaries so a batch never changes
+        // mid-compute.
         {
-          HETPS_TRACE_SPAN1("worker.wait", "worker", m);
-          const auto wait_start = SteadyClock::now();
-          my_status = client.WaitUntilCanAdvance(c + 1);
-          const double secs = seconds_since(wait_start);
-          breakdown.wait_seconds += secs;
-          wait_us->RecordInt(static_cast<int64_t>(secs * 1e6));
+          std::lock_guard<std::mutex> lock(failover_mu);
+          if (shard_gen[mi] != seen_gen) {
+            sgd.mutable_shard()->example_indices = owned[mi];
+            seen_gen = shard_gen[mi];
+          }
         }
-        if (!my_status.ok()) {
-          if (evicted_by_design()) my_status = Status::OK();
-          return;
-        }
+        HETPS_TRACE_SPAN2("worker.clock", "worker", m, "clock", c);
+        const auto iter_start = SteadyClock::now();
+        SparseVector update;
+        double compute_secs = 0.0;
         {
-          const auto pull_start = SteadyClock::now();
-          my_status = do_pull(&replica, &cp);
-          breakdown.comm_seconds += seconds_since(pull_start);
+          HETPS_TRACE_SPAN1("worker.compute", "worker", m);
+          const auto compute_start = SteadyClock::now();
+          if (injected_delay > 0.0) {
+            // The paper's slowdown-injection protocol: the straggler's
+            // clock really takes longer, so the timing report below and
+            // every downstream straggler decision see a genuine
+            // slowdown.
+            std::this_thread::sleep_for(
+                std::chrono::duration<double>(injected_delay));
+          }
+          sgd.RunClock(c, &replica, &update);
+          compute_secs = std::chrono::duration<double>(SteadyClock::now() -
+                                                       compute_start)
+                             .count();
+          compute_seconds += compute_secs;
+          compute_us->RecordInt(static_cast<int64_t>(compute_secs * 1e6));
         }
-        if (!my_status.ok()) {
-          if (evicted_by_design()) my_status = Status::OK();
-          return;
+        HETPS_RETURN_NOT_OK(client.Push(c, update));
+        if (options.rebalance) {
+          // Feed the load-balancing plane this clock's measured compute
+          // time (kReportClock drives Master::ReportClockTime and the
+          // balancer's decision on the service loop).
+          HETPS_RETURN_NOT_OK(client.ReportClock(c, compute_secs));
+        }
+        if (m == 0) {
+          const size_t n = options.eval_sample == 0 ? dataset.size()
+                                                    : options.eval_sample;
+          trace.push_back(
+              dataset.ObjectiveSample(loss, replica, options.l2, n));
+          if (options.checkpoint_every_clocks > 0 &&
+              (c + 1 - start_clock) % options.checkpoint_every_clocks ==
+                  0) {
+            // Checkpointing runs beside live traffic; the PS serializes
+            // shard access internally.
+            Status st = SaveCheckpointToFile(ps, options.checkpoint_path);
+            if (!st.ok()) checkpoint_status = st;
+          }
+        }
+        const double wait_before = client.breakdown().wait_seconds;
+        const Result<bool> pulled = client.MaybePull(c, &replica);
+        HETPS_RETURN_NOT_OK(pulled.status());
+        if (pulled.value()) {
+          wait_us->RecordInt(static_cast<int64_t>(
+              (client.breakdown().wait_seconds - wait_before) * 1e6));
+        }
+        iter_us->RecordInt(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                SteadyClock::now() - iter_start)
+                .count());
+        if (m == 0 && options.on_epoch) {
+          options.on_epoch(c + 1 - start_clock);
         }
       }
-      iter_us->RecordInt(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              SteadyClock::now() - iter_start)
-              .count());
-      if (m == 0 && options.on_epoch) {
-        options.on_epoch(c + 1 - start_clock);
-      }
+      // Drain the push pipeline: the last clocks' pushes may still be in
+      // flight, and a failure latched after the final Push would
+      // otherwise go unseen.
+      return client.Flush();
+    };
+    Status st = run();
+    // An RPC rejected because *this* worker was evicted is the liveness
+    // plane working as designed (e.g. a hung worker waking up after its
+    // eviction), not a run failure: the run's verdict comes from the
+    // survivors.
+    if (st.IsFailedPrecondition() &&
+        evicted[mi].load(std::memory_order_acquire)) {
+      st = Status::OK();
     }
-    // Drain the push pipeline: the last clocks' pushes may still be in
-    // flight, and a failure latched after the final Push would otherwise
-    // go unseen. The drain block is the un-hidden remainder (comm); what
-    // the pipeline overlapped with compute is reported separately.
-    {
-      const auto flush_start = SteadyClock::now();
-      my_status = client.Flush();
-      breakdown.comm_seconds += seconds_since(flush_start);
-    }
-    if (!my_status.ok()) {
-      if (evicted_by_design()) my_status = Status::OK();
-      return;
-    }
-    breakdown.push_hidden_seconds = client.push_hidden_seconds();
-    worker_retries[static_cast<size_t>(m)] = client.retry_count();
+    worker_status[mi] = st;
+    breakdowns[mi] = client.breakdown();
+    breakdowns[mi].compute_seconds = compute_seconds;
+    worker_retries[mi] = client.retry_count();
   };
 
   std::vector<std::thread> threads;

@@ -48,10 +48,10 @@ struct DistributedTrainerOptions {
   /// Per-RPC timeout/backoff for the worker clients.
   RpcRetryPolicy rpc_retry = RpcRetryPolicy();
   /// Version-aware pull path (§6): workers pull through the client-side
-  /// partition cache (RpcWorkerClient::PullCached) so only changed
+  /// partition cache (PsClient::PullCached) so only changed
   /// partitions cross the bus. Off = every pull ships the whole model.
   bool delta_pull = true;
-  /// Asynchronous push pipeline (RpcWorkerClient): 0 = synchronous push
+  /// Asynchronous push pipeline (PsClient): 0 = synchronous push
   /// RPCs (the pre-pipeline behavior), >= 1 = bounded in-flight window
   /// (1 = double-buffer: compute clock c+1 while the push RPC of clock c
   /// is in flight). Push retries stay safe: the service dedups by

@@ -92,7 +92,7 @@ ThreadedTrainResult TrainThreaded(const Dataset& dataset,
                 std::chrono::steady_clock::now() - compute_start)
                 .count();
       }
-      client.Push(c, update);
+      HETPS_CHECK_OK(client.Push(c, update));
       if (m == 0) {
         const size_t n = options.eval_sample == 0 ? dataset.size()
                                                   : options.eval_sample;
@@ -100,9 +100,11 @@ ThreadedTrainResult TrainThreaded(const Dataset& dataset,
             dataset.ObjectiveSample(loss, replica, options.l2, n));
       }
       if (options.prefetch) {
-        if (will_pull) client.FinishPrefetch(&replica);
+        if (will_pull) {
+          HETPS_CHECK_OK(client.FinishPrefetch(&replica).status());
+        }
       } else {
-        client.MaybePull(c, &replica);
+        HETPS_CHECK_OK(client.MaybePull(c, &replica).status());
       }
       iter_us->RecordInt(
           std::chrono::duration_cast<std::chrono::microseconds>(
@@ -113,12 +115,11 @@ ThreadedTrainResult TrainThreaded(const Dataset& dataset,
     // Drain the push pipeline before reading the breakdown: the last
     // clocks' pushes may still be in flight, and push_hidden_seconds is
     // finalized by the drain.
-    client.Flush();
-    // Fold in the client's comm/wait split (compute tracked above).
-    breakdown.comm_seconds = client.breakdown().comm_seconds;
-    breakdown.wait_seconds = client.breakdown().wait_seconds;
-    breakdown.push_hidden_seconds = client.breakdown().push_hidden_seconds;
-    breakdown.clocks_completed = client.breakdown().clocks_completed;
+    HETPS_CHECK_OK(client.Flush());
+    // The client's comm/wait split plus the compute tracked above.
+    const double compute_seconds = breakdown.compute_seconds;
+    breakdown = client.breakdown();
+    breakdown.compute_seconds = compute_seconds;
   };
 
   std::vector<std::thread> threads;

@@ -46,7 +46,7 @@ struct ThreadedTrainerOptions {
   /// or sparse delta, whichever is smaller). Off = every pull ships the
   /// whole model.
   bool delta_pull = true;
-  /// Asynchronous push pipeline (WorkerClient): 0 = synchronous pushes
+  /// Asynchronous push pipeline (PsClient): 0 = synchronous pushes
   /// (bitwise-identical to the pre-pipeline trainer), >= 1 = bounded
   /// in-flight window (1 = double-buffer: compute clock c+1 while the
   /// push of clock c is in flight).

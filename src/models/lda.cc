@@ -140,9 +140,9 @@ Result<LdaModel> TrainLda(const Corpus& corpus, const LdaConfig& config) {
         delta[static_cast<size_t>(K) * V + t] += 1.0;
       }
     }
-    client.Push(0, SparseVector::FromDense(delta, 0.0));
+    HETPS_CHECK_OK(client.Push(0, SparseVector::FromDense(delta, 0.0)));
     std::vector<double> replica(static_cast<size_t>(total_dim), 0.0);
-    client.PullBlocking(1, &replica);
+    HETPS_CHECK_OK(client.PullBlocking(1, &replica));
 
     std::vector<double> weights(static_cast<size_t>(K), 0.0);
     for (int c = 1; c <= config.max_clocks; ++c) {
@@ -188,8 +188,8 @@ Result<LdaModel> TrainLda(const Corpus& corpus, const LdaConfig& config) {
           delta[static_cast<size_t>(K) * V + new_t] += 1.0;
         }
       }
-      client.Push(c, SparseVector::FromDense(delta, 0.0));
-      client.MaybePull(c, &replica);
+      HETPS_CHECK_OK(client.Push(c, SparseVector::FromDense(delta, 0.0)));
+      HETPS_CHECK_OK(client.MaybePull(c, &replica).status());
     }
   };
 

@@ -138,7 +138,7 @@ Result<MatrixFactorizationModel> TrainMatrixFactorization(
   auto worker_body = [&](int m) {
     WorkerClient client(m, &ps);
     std::vector<double> replica(static_cast<size_t>(total_dim), 0.0);
-    client.PullBlocking(0, &replica);
+    HETPS_CHECK_OK(client.PullBlocking(0, &replica));
     const auto& indices = shards[static_cast<size_t>(m)].example_indices;
     const size_t batch = std::max<size_t>(
         1, static_cast<size_t>(config.batch_fraction *
@@ -174,8 +174,8 @@ Result<MatrixFactorizationModel> TrainMatrixFactorization(
         }
         pos = end;
       }
-      client.Push(c, SparseVector::FromDense(update, 0.0));
-      client.MaybePull(c, &replica);
+      HETPS_CHECK_OK(client.Push(c, SparseVector::FromDense(update, 0.0)));
+      HETPS_CHECK_OK(client.MaybePull(c, &replica).status());
     }
   };
 

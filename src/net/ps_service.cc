@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <thread>
 
 #include "obs/flight_recorder.h"
@@ -494,6 +495,8 @@ std::vector<uint8_t> PsService::HandleLayout(ByteReader* reader) {
   w.WriteI64(part.dim());
   w.WriteI64(part.num_servers());
   w.WriteI64(part.num_partitions());
+  w.WriteU8(static_cast<uint8_t>(ps_->options().sync.protocol));
+  w.WriteI64(ps_->options().sync.staleness);
   return w.TakeBuffer();
 }
 
@@ -692,134 +695,22 @@ std::vector<uint8_t> PsService::HandleObsControl(ByteReader* reader) {
   return w.TakeBuffer();
 }
 
-RpcWorkerClient::RpcWorkerClient(int worker_id, MessageBus* bus,
-                                 std::string ps_endpoint,
-                                 const RpcRetryPolicy& retry,
-                                 int push_window)
+BusTransport::BusTransport(int worker_id, MessageBus* bus,
+                           std::string ps_endpoint,
+                           const RpcRetryPolicy& retry)
     : worker_id_(worker_id),
       bus_(bus),
       ps_endpoint_(std::move(ps_endpoint)),
       my_endpoint_("worker-" + std::to_string(worker_id)),
       retry_(retry),
-      retries_metric_(GlobalMetrics().counter("rpc.client_retries")),
-      push_window_(push_window) {
+      retries_metric_(GlobalMetrics().counter("rpc.client_retries")) {
   HETPS_CHECK(bus != nullptr) << "null MessageBus";
   HETPS_CHECK(retry_.max_attempts >= 1) << "need at least one attempt";
-  HETPS_CHECK(push_window >= 0) << "negative push window";
-  if (push_window_ >= 1) {
-    inflight_gauge_ = GlobalMetrics().gauge("push.inflight");
-    inflight_peak_gauge_ = GlobalMetrics().gauge("push.inflight_peak");
-    sender_ = std::thread([this] { SenderLoop(); });
-  }
 }
 
-RpcWorkerClient::~RpcWorkerClient() {
-  if (sender_.joinable()) {
-    // The sender drains the queue before exiting, so every accepted push
-    // is attempted even when the trainer tears down mid-window (failures
-    // at this point have nowhere to surface, which is fine: the bus is
-    // usually shutting down too).
-    {
-      std::lock_guard<std::mutex> lock(send_mu_);
-      stop_sender_ = true;
-    }
-    send_cv_.notify_all();
-    sender_.join();
-  }
-}
+MetricsRegistry* BusTransport::metrics() { return &GlobalMetrics(); }
 
-void RpcWorkerClient::SenderLoop() {
-  for (;;) {
-    std::pair<int, std::vector<uint8_t>> item;
-    {
-      std::unique_lock<std::mutex> lock(send_mu_);
-      send_cv_.wait(lock, [this] {
-        return stop_sender_ || !send_queue_.empty();
-      });
-      if (send_queue_.empty()) return;  // stop requested and drained
-      item = std::move(send_queue_.front());
-      send_queue_.pop_front();
-    }
-    const auto start = std::chrono::steady_clock::now();
-    auto response = Roundtrip(std::move(item.second));
-    Status st;
-    if (response.ok()) {
-      ByteReader reader(response.value());
-      st = ConsumeStatus(&reader);
-    } else {
-      st = response.status();
-    }
-    const double dur = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-    {
-      std::lock_guard<std::mutex> lock(send_mu_);
-      async_push_seconds_ += dur;
-      if (!st.ok() && push_error_.ok()) {
-        // First failure wins; it is surfaced (and the clock recorded in
-        // the message) by the next owner-thread call that drains.
-        push_error_ = Status(st.code(), "async push of clock " +
-                                            std::to_string(item.first) +
-                                            " failed: " + st.message());
-      }
-      --inflight_;
-      if (inflight_gauge_ != nullptr) inflight_gauge_->Add(-1.0);
-    }
-    space_cv_.notify_all();
-  }
-}
-
-std::vector<uint8_t> RpcWorkerClient::EncodePush(
-    int clock, const SparseVector& update) {
-  ByteWriter w;
-  if (partitioner_ == nullptr) {
-    // No layout handshake yet: ship the classic global-indexed frame.
-    w.WriteU8(static_cast<uint8_t>(PsOpCode::kPush));
-    w.WriteI64(worker_id_);
-    w.WriteI64(clock);
-    w.WriteSparseVector(update);
-    return w.TakeBuffer();
-  }
-  // Columnar frame: per-partition pieces with local indices, so the
-  // service can route each piece straight to its shard. Empty pieces are
-  // elided (the frame carries explicit partition ids); an all-empty push
-  // still ships — the server must advance the clock table.
-  std::vector<SparseVector> pieces = partitioner_->SplitByPartition(update);
-  uint64_t kept = 0;
-  for (const SparseVector& piece : pieces) {
-    if (!piece.empty()) ++kept;
-  }
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kPushColumnar));
-  w.WriteI64(worker_id_);
-  w.WriteI64(clock);
-  w.WriteU64(kept);
-  for (size_t p = 0; p < pieces.size(); ++p) {
-    if (pieces[p].empty()) continue;
-    w.WriteI64(static_cast<int64_t>(p));
-    w.WriteSparseVector(pieces[p]);
-  }
-  return w.TakeBuffer();
-}
-
-Status RpcWorkerClient::Flush() {
-  if (push_window_ == 0) return Status::OK();
-  std::unique_lock<std::mutex> lock(send_mu_);
-  if (inflight_ > 0) {
-    const auto start = std::chrono::steady_clock::now();
-    space_cv_.wait(lock, [this] { return inflight_ == 0; });
-    owner_blocked_seconds_ += std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - start)
-                                  .count();
-  }
-  return push_error_;
-}
-
-double RpcWorkerClient::push_hidden_seconds() const {
-  std::lock_guard<std::mutex> lock(send_mu_);
-  return std::max(0.0, async_push_seconds_ - owner_blocked_seconds_);
-}
-
-Result<std::vector<uint8_t>> RpcWorkerClient::Roundtrip(
+Result<std::vector<uint8_t>> BusTransport::Roundtrip(
     std::vector<uint8_t> request) {
   std::chrono::microseconds backoff = retry_.initial_backoff;
   Status last = Status::Internal("rpc never attempted");
@@ -852,76 +743,14 @@ Result<std::vector<uint8_t>> RpcWorkerClient::Roundtrip(
   return last;
 }
 
-Status RpcWorkerClient::Push(int clock, const SparseVector& update) {
-  if (push_window_ == 0) {
-    // Synchronous path — unchanged: one blocking roundtrip per push.
-    ByteWriter w;
-    w.WriteU8(static_cast<uint8_t>(PsOpCode::kPush));
-    w.WriteI64(worker_id_);
-    w.WriteI64(clock);
-    w.WriteSparseVector(update);
-    auto response = Roundtrip(w.TakeBuffer());
-    if (!response.ok()) return response.status();
-    ByteReader reader(response.value());
-    return ConsumeStatus(&reader);
-  }
-  // Pipelined path: encode here (partitioner_ is owner-thread state),
-  // then hand the bytes to the sender. Only the backpressure block
-  // (window full) costs the owner wall time.
-  std::vector<uint8_t> request = EncodePush(clock, update);
-  {
-    std::unique_lock<std::mutex> lock(send_mu_);
-    if (!push_error_.ok()) {
-      // The pipeline already failed (e.g. this worker was evicted while
-      // a push was in flight): refuse new work so the caller sees the
-      // failure at the next push instead of silently queueing behind it.
-      return push_error_;
-    }
-    if (inflight_ >= push_window_) {
-      const auto start = std::chrono::steady_clock::now();
-      space_cv_.wait(lock, [this] {
-        return inflight_ < push_window_ || !push_error_.ok();
-      });
-      owner_blocked_seconds_ +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      if (!push_error_.ok()) return push_error_;
-    }
-    send_queue_.emplace_back(clock, std::move(request));
-    ++inflight_;
-    if (inflight_ > inflight_peak_) {
-      inflight_peak_ = inflight_;
-      if (inflight_peak_gauge_ != nullptr) {
-        inflight_peak_gauge_->Set(static_cast<double>(inflight_peak_));
-      }
-    }
-    if (inflight_gauge_ != nullptr) inflight_gauge_->Add(1.0);
-  }
-  send_cv_.notify_one();
-  return Status::OK();
-}
-
-Status RpcWorkerClient::Pull(std::vector<double>* replica, int* cmin) {
-  // Read-your-writes: drain the push window (and surface any latched
-  // async failure) before pulling.
-  HETPS_RETURN_NOT_OK(Flush());
-  ByteWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kPull));
-  w.WriteI64(worker_id_);
-  auto response = Roundtrip(w.TakeBuffer());
+Status BusTransport::CallForStatus(std::vector<uint8_t> request) {
+  auto response = Roundtrip(std::move(request));
   if (!response.ok()) return response.status();
   ByteReader reader(response.value());
-  HETPS_RETURN_NOT_OK(ConsumeStatus(&reader));
-  int64_t cmin64 = 0;
-  HETPS_RETURN_NOT_OK(reader.ReadI64(&cmin64));
-  HETPS_RETURN_NOT_OK(reader.ReadDenseVector(replica));
-  if (cmin != nullptr) *cmin = static_cast<int>(cmin64);
-  return Status::OK();
+  return ConsumeStatus(&reader);
 }
 
-Status RpcWorkerClient::EnsureLayout() {
-  if (partitioner_ != nullptr) return Status::OK();
+Result<PsLayout> BusTransport::Layout() {
   ByteWriter w;
   w.WriteU8(static_cast<uint8_t>(PsOpCode::kLayout));
   auto response = Roundtrip(w.TakeBuffer());
@@ -932,31 +761,87 @@ Status RpcWorkerClient::EnsureLayout() {
   int64_t dim = 0;
   int64_t num_servers = 0;
   int64_t num_partitions = 0;
+  uint8_t protocol = 0;
+  int64_t staleness = 0;
   HETPS_RETURN_NOT_OK(reader.ReadU8(&scheme));
   HETPS_RETURN_NOT_OK(reader.ReadI64(&dim));
   HETPS_RETURN_NOT_OK(reader.ReadI64(&num_servers));
   HETPS_RETURN_NOT_OK(reader.ReadI64(&num_partitions));
+  HETPS_RETURN_NOT_OK(reader.ReadU8(&protocol));
+  HETPS_RETURN_NOT_OK(reader.ReadI64(&staleness));
   if (scheme > static_cast<uint8_t>(PartitionScheme::kRangeHash) ||
       dim <= 0 || num_servers <= 0 || num_partitions < num_servers ||
-      num_partitions > dim) {
-    return Status::InvalidArgument("bad partition-layout handshake");
+      num_partitions > dim ||
+      protocol > static_cast<uint8_t>(Protocol::kSsp) || staleness < 0 ||
+      staleness > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("bad layout handshake");
   }
-  partitioner_ = std::make_unique<Partitioner>(
-      static_cast<PartitionScheme>(scheme), dim,
-      static_cast<int>(num_servers), static_cast<int>(num_partitions));
-  cache_.assign(static_cast<size_t>(dim), 0.0);
-  cached_tags_.assign(static_cast<size_t>(num_partitions), kNoCachedTag);
+  dim_ = dim;
+  return PsLayout{
+      Partitioner(static_cast<PartitionScheme>(scheme), dim,
+                  static_cast<int>(num_servers),
+                  static_cast<int>(num_partitions)),
+      SyncPolicy{static_cast<Protocol>(protocol),
+                 static_cast<int>(staleness)}};
+}
+
+Status BusTransport::Push(int clock, const SparseVector& update,
+                          const Partitioner* layout) {
+  ByteWriter w;
+  if (layout == nullptr) {
+    // No layout handshake yet: ship the classic global-indexed frame.
+    w.WriteU8(static_cast<uint8_t>(PsOpCode::kPush));
+    w.WriteI64(worker_id_);
+    w.WriteI64(clock);
+    w.WriteSparseVector(update);
+    return CallForStatus(w.TakeBuffer());
+  }
+  // Columnar frame: per-partition pieces with local indices, so the
+  // service can route each piece straight to its shard. Empty pieces are
+  // elided (the frame carries explicit partition ids); an all-empty push
+  // still ships — the server must advance the clock table.
+  const std::vector<SparseVector> pieces = layout->SplitByPartition(update);
+  uint64_t kept = 0;
+  for (const SparseVector& piece : pieces) {
+    if (!piece.empty()) ++kept;
+  }
+  // Header, then per kept piece an id, a count and the entries.
+  w.Reserve(25 + 16 * (kept + update.nnz()));
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kPushColumnar));
+  w.WriteI64(worker_id_);
+  w.WriteI64(clock);
+  w.WriteU64(kept);
+  for (size_t p = 0; p < pieces.size(); ++p) {
+    if (pieces[p].empty()) continue;
+    w.WriteI64(static_cast<int64_t>(p));
+    w.WriteSparseVector(pieces[p]);
+  }
+  return CallForStatus(w.TakeBuffer());
+}
+
+Status BusTransport::PullFull(std::vector<double>* values, int* cmin) {
+  ByteWriter w;
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kPull));
+  w.WriteI64(worker_id_);
+  auto response = Roundtrip(w.TakeBuffer());
+  if (!response.ok()) return response.status();
+  ByteReader reader(response.value());
+  HETPS_RETURN_NOT_OK(ConsumeStatus(&reader));
+  int64_t cmin64 = 0;
+  HETPS_RETURN_NOT_OK(reader.ReadI64(&cmin64));
+  HETPS_RETURN_NOT_OK(reader.ReadDenseVector(values));
+  *cmin = static_cast<int>(cmin64);
   return Status::OK();
 }
 
-Status RpcWorkerClient::PullCachedOnce(int* cmin, bool* tag_mismatch) {
-  *tag_mismatch = false;
+Status BusTransport::PullDelta(const std::vector<int64_t>& cached_tags,
+                               DeltaPullResult* result) {
   ByteWriter w;
-  w.Reserve(17 + cached_tags_.size() * 8);
+  w.Reserve(17 + cached_tags.size() * 8);
   w.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDelta));
   w.WriteI64(worker_id_);
-  w.WriteU64(cached_tags_.size());
-  for (int64_t tag : cached_tags_) w.WriteI64(tag);
+  w.WriteU64(cached_tags.size());
+  for (int64_t tag : cached_tags) w.WriteI64(tag);
   auto response = Roundtrip(w.TakeBuffer());
   if (!response.ok()) return response.status();
   ByteReader reader(response.value());
@@ -965,120 +850,49 @@ Status RpcWorkerClient::PullCachedOnce(int* cmin, bool* tag_mismatch) {
   uint64_t parts = 0;
   HETPS_RETURN_NOT_OK(reader.ReadI64(&cmin64));
   HETPS_RETURN_NOT_OK(reader.ReadU64(&parts));
-  if (parts != cached_tags_.size()) {
+  if (parts != cached_tags.size()) {
     return Status::InvalidArgument("partition count changed mid-stream");
   }
   // Partitions arrive in index order (the response carries no explicit
-  // ids); every piece is validated against the handshaken layout before
-  // it touches the cache — the response is still untrusted bytes.
+  // ids). Decoding checks the framing and the encodings; PsClient checks
+  // each piece against the layout before it touches the cache.
+  result->partitions.resize(parts);
   int64_t shipped = 0;
   for (size_t p = 0; p < parts; ++p) {
+    PartitionPull& pp = result->partitions[p];
+    pp.partition = static_cast<int>(p);
     uint8_t encoding = 0;
-    int64_t tag = 0;
     HETPS_RETURN_NOT_OK(reader.ReadU8(&encoding));
-    HETPS_RETURN_NOT_OK(reader.ReadI64(&tag));
-    const int64_t dim_p = partitioner_->PartitionDim(static_cast<int>(p));
-    bool apply_tag = true;
-    switch (static_cast<PartitionPull::Encoding>(encoding)) {
+    HETPS_RETURN_NOT_OK(reader.ReadI64(&pp.tag));
+    pp.encoding = static_cast<PartitionPull::Encoding>(encoding);
+    switch (pp.encoding) {
       case PartitionPull::Encoding::kUnchanged:
         break;
-      case PartitionPull::Encoding::kDense: {
-        std::vector<double> dense;
-        HETPS_RETURN_NOT_OK(reader.ReadDenseVector(&dense));
-        if (dense.size() != static_cast<size_t>(dim_p)) {
-          return Status::InvalidArgument("dense piece has wrong length");
-        }
-        for (size_t local = 0; local < dense.size(); ++local) {
-          const int64_t g = partitioner_->GlobalIndex(
-              static_cast<int>(p), static_cast<int64_t>(local));
-          cache_[static_cast<size_t>(g)] = dense[local];
-        }
-        shipped += static_cast<int64_t>(dense.size() * sizeof(double));
+      case PartitionPull::Encoding::kDense:
+        HETPS_RETURN_NOT_OK(reader.ReadDenseVector(&pp.dense));
+        shipped += static_cast<int64_t>(pp.dense.size() * sizeof(double));
         break;
-      }
-      case PartitionPull::Encoding::kSparse: {
-        SparseVector sv;
-        HETPS_RETURN_NOT_OK(reader.ReadSparseVector(&sv));
-        if (sv.MinimumDimension() > dim_p) {
-          return Status::InvalidArgument("sparse piece index out of range");
-        }
-        for (int64_t local = 0; local < dim_p; ++local) {
-          cache_[static_cast<size_t>(partitioner_->GlobalIndex(
-              static_cast<int>(p), local))] = 0.0;
-        }
-        for (size_t i = 0; i < sv.nnz(); ++i) {
-          const int64_t g =
-              partitioner_->GlobalIndex(static_cast<int>(p), sv.index(i));
-          cache_[static_cast<size_t>(g)] = sv.value(i);
-        }
-        shipped += static_cast<int64_t>(sv.nnz() *
-                                        (sizeof(int64_t) + sizeof(double)));
+      case PartitionPull::Encoding::kSparseDelta:
+        HETPS_RETURN_NOT_OK(reader.ReadI64(&pp.base_tag));
+        [[fallthrough]];
+      case PartitionPull::Encoding::kSparse:
+        HETPS_RETURN_NOT_OK(reader.ReadSparseVector(&pp.sparse));
+        shipped += static_cast<int64_t>(
+            pp.sparse.nnz() * (sizeof(int64_t) + sizeof(double)));
         break;
-      }
-      case PartitionPull::Encoding::kSparseDelta: {
-        int64_t base_tag = 0;
-        SparseVector sv;
-        HETPS_RETURN_NOT_OK(reader.ReadI64(&base_tag));
-        HETPS_RETURN_NOT_OK(reader.ReadSparseVector(&sv));
-        if (sv.MinimumDimension() > dim_p) {
-          return Status::InvalidArgument("delta piece index out of range");
-        }
-        if (base_tag != cached_tags_[p]) {
-          // A delta against state we no longer (or never) held — e.g. a
-          // server-side checkpoint restore between pulls. Drop it and
-          // re-pull this partition whole on the caller's retry.
-          *tag_mismatch = true;
-          cached_tags_[p] = kNoCachedTag;
-          apply_tag = false;
-          break;
-        }
-        for (size_t i = 0; i < sv.nnz(); ++i) {
-          const int64_t g =
-              partitioner_->GlobalIndex(static_cast<int>(p), sv.index(i));
-          cache_[static_cast<size_t>(g)] += sv.value(i);
-        }
-        shipped += static_cast<int64_t>(sv.nnz() *
-                                        (sizeof(int64_t) + sizeof(double)));
-        break;
-      }
       default:
         return Status::InvalidArgument("unknown partition encoding");
     }
-    if (apply_tag) cached_tags_[p] = tag;
   }
-  pulled_bytes_ += shipped;
+  result->cmin = static_cast<int>(cmin64);
+  result->bytes_shipped = shipped;
   // Baseline: a cache-less kPull ships the whole model dense.
-  pulled_bytes_full_ +=
-      partitioner_->dim() * static_cast<int64_t>(sizeof(double));
-  *cmin = static_cast<int>(cmin64);
+  result->bytes_full = dim_ * static_cast<int64_t>(sizeof(double));
   return Status::OK();
 }
 
-Status RpcWorkerClient::PullCached(std::vector<double>* replica,
-                                   int* cmin) {
-  // Drain before the layout handshake too: EnsureLayout installs
-  // partitioner_, and the first drained queue may still hold legacy
-  // frames — ordering stays FIFO either way.
-  HETPS_RETURN_NOT_OK(Flush());
-  HETPS_RETURN_NOT_OK(EnsureLayout());
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    bool mismatch = false;
-    int c = 0;
-    HETPS_RETURN_NOT_OK(PullCachedOnce(&c, &mismatch));
-    if (!mismatch) {
-      *replica = cache_;
-      if (cmin != nullptr) *cmin = c;
-      return Status::OK();
-    }
-    // Mismatched partitions had their tags reset; the retry ships them
-    // whole. One round trip normally suffices.
-  }
-  return Status::Internal("delta pull base tags kept mismatching");
-}
-
-Status RpcWorkerClient::PullRange(int64_t begin, int64_t end,
-                                  std::vector<double>* values) {
-  HETPS_RETURN_NOT_OK(Flush());
+Status BusTransport::PullRange(int64_t begin, int64_t end,
+                               std::vector<double>* values) {
   ByteWriter w;
   w.WriteU8(static_cast<uint8_t>(PsOpCode::kPullRange));
   w.WriteI64(worker_id_);
@@ -1091,12 +905,7 @@ Status RpcWorkerClient::PullRange(int64_t begin, int64_t end,
   return reader.ReadDenseVector(values);
 }
 
-Result<bool> RpcWorkerClient::CanAdvance(int next_clock) {
-  // The admission decision depends on the clock table this worker's own
-  // queued pushes advance — probe only after they have landed. (Also
-  // surfaces a latched async failure, e.g. eviction, instead of letting
-  // the caller poll forever.)
-  HETPS_RETURN_NOT_OK(Flush());
+Result<bool> BusTransport::CanAdvance(int next_clock) {
   ByteWriter w;
   w.WriteU8(static_cast<uint8_t>(PsOpCode::kCanAdvance));
   w.WriteI64(worker_id_);
@@ -1110,9 +919,13 @@ Result<bool> RpcWorkerClient::CanAdvance(int next_clock) {
   return ok != 0;
 }
 
-Status RpcWorkerClient::WaitUntilCanAdvance(int next_clock) {
+Status BusTransport::WaitUntilCanAdvance(int next_clock,
+                                         const std::atomic<bool>* cancel) {
   int64_t denied = 0;
   for (;;) {
+    if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
+      return Status::Aborted("admission wait cancelled");
+    }
     Result<bool> admitted = CanAdvance(next_clock);
     if (!admitted.ok()) return admitted.status();
     if (admitted.value()) return Status::OK();
@@ -1129,39 +942,7 @@ Status RpcWorkerClient::WaitUntilCanAdvance(int next_clock) {
   }
 }
 
-Status RpcWorkerClient::ReportClock(int clock, double seconds) {
-  ByteWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kReportClock));
-  w.WriteI64(worker_id_);
-  w.WriteI64(clock);
-  w.WriteDouble(seconds);
-  auto response = Roundtrip(w.TakeBuffer());
-  if (!response.ok()) return response.status();
-  ByteReader reader(response.value());
-  return ConsumeStatus(&reader);
-}
-
-Status RpcWorkerClient::Readmit(int clock) {
-  if (push_window_ >= 1) {
-    // Drain whatever the pipeline still holds (pushes queued before the
-    // eviction fail fast with FailedPrecondition — that is expected) and
-    // reset the latch: a successful rejoin starts a clean pipeline.
-    (void)Flush();
-    std::lock_guard<std::mutex> lock(send_mu_);
-    push_error_ = Status::OK();
-  }
-  ByteWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kReadmit));
-  w.WriteI64(worker_id_);
-  w.WriteI64(clock);
-  auto response = Roundtrip(w.TakeBuffer());
-  if (!response.ok()) return response.status();
-  ByteReader reader(response.value());
-  return ConsumeStatus(&reader);
-}
-
-Result<int64_t> RpcWorkerClient::StableVersion() {
-  HETPS_RETURN_NOT_OK(Flush());
+Result<int64_t> BusTransport::StableVersion() {
   ByteWriter w;
   w.WriteU8(static_cast<uint8_t>(PsOpCode::kStableVersion));
   auto response = Roundtrip(w.TakeBuffer());
@@ -1171,6 +952,23 @@ Result<int64_t> RpcWorkerClient::StableVersion() {
   int64_t version = 0;
   HETPS_RETURN_NOT_OK(reader.ReadI64(&version));
   return version;
+}
+
+Status BusTransport::ReportClock(int clock, double seconds) {
+  ByteWriter w;
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kReportClock));
+  w.WriteI64(worker_id_);
+  w.WriteI64(clock);
+  w.WriteDouble(seconds);
+  return CallForStatus(w.TakeBuffer());
+}
+
+Status BusTransport::Readmit(int clock) {
+  ByteWriter w;
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kReadmit));
+  w.WriteI64(worker_id_);
+  w.WriteI64(clock);
+  return CallForStatus(w.TakeBuffer());
 }
 
 }  // namespace hetps

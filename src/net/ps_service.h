@@ -3,22 +3,19 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "net/heartbeat.h"
 #include "net/message_bus.h"
 #include "net/serializer.h"
+#include "obs/metrics.h"
 #include "ps/parameter_server.h"
-#include "util/metrics.h"
+#include "ps/ps_client.h"
 
 namespace hetps {
 
@@ -36,9 +33,10 @@ enum class PsOpCode : uint8_t {
   /// content tags; response ships only changed partitions (dense piece,
   /// sparse piece, or sparse delta — see ParameterServer::PullDelta).
   kPullDelta = 6,
-  /// Partition-layout handshake: returns (scheme, dim, num_servers,
-  /// num_partitions) so a client can reconstruct the Partitioner and
-  /// scatter partition-local pieces without out-of-band configuration.
+  /// Layout handshake: returns (scheme, dim, num_servers,
+  /// num_partitions, protocol, staleness) so a client can reconstruct the
+  /// Partitioner, scatter partition-local pieces, and decide when to pull
+  /// without out-of-band configuration.
   kLayout = 7,
   /// Worker reports the measured duration of its last compute clock
   /// (worker id, clock, seconds). Feeds Master::ReportClockTime — the
@@ -85,7 +83,7 @@ enum class PsOpCode : uint8_t {
 /// worker must not pin cmin and stall every survivor forever).
 ///
 /// Every request a worker sends — pushes, pulls, *and admission probes*
-/// (RpcWorkerClient::WaitUntilCanAdvance polls kCanAdvance, so a blocked
+/// (BusTransport::WaitUntilCanAdvance polls kCanAdvance, so a blocked
 /// survivor keeps beating) — doubles as a heartbeat for its `Envelope.from`
 /// endpoint. The service sweeps the monitor on every handled request and
 /// evicts workers whose last beat is older than the timeout; requests from
@@ -275,120 +273,53 @@ struct RpcRetryPolicy {
   }
 };
 
-/// Worker-side stub issuing PS operations through the bus. One instance
-/// per worker thread.
+/// PsTransport over a MessageBus: every call is one request/response
+/// exchange with a PsService endpoint, and this class owns all of the
+/// byte work — encoding, Roundtrip with the RpcRetryPolicy, the kLayout
+/// handshake, and validating every response as untrusted bytes.
 ///
-/// Blocking admission is implemented by polling CanAdvance (a blocking
-/// server call would stall the single-threaded service loop and deadlock
-/// the cluster), with a small sleep between probes.
-///
-/// ## The push pipeline (push_window >= 1)
-///
-/// With a window, Push() encodes the request on the caller's thread
-/// (columnar once the kLayout handshake has run, legacy kPush before)
-/// and hands the bytes to a background sender; the caller blocks only
-/// when `push_window` encoded pushes are already in flight. The sender
-/// issues the RPCs FIFO, so the server still sees strictly increasing
-/// clocks per worker and its retry dedup stays sound. The first failed
-/// async push is latched and surfaced by the next Push/Flush (and by
-/// the pull/admission calls, which drain the window first for
-/// read-your-writes) — an eviction mid-flight therefore resolves as
-/// FailedPrecondition on the owner thread instead of hanging, and
-/// Readmit() clears the latch after draining. push_window == 0 is the
-/// synchronous path, byte-for-byte as before.
-class RpcWorkerClient {
+/// Pushes ship as kPushColumnar once the caller passes the handshaken
+/// layout (the split needs the Partitioner), as legacy kPush before.
+/// Blocking admission polls kCanAdvance with a small sleep between
+/// probes: a blocking server call would stall the single-threaded
+/// service loop and deadlock the cluster. The probes double as this
+/// worker's heartbeats.
+class BusTransport final : public PsTransport {
  public:
-  RpcWorkerClient(int worker_id, MessageBus* bus, std::string ps_endpoint,
-                  const RpcRetryPolicy& retry = RpcRetryPolicy(),
-                  int push_window = 0);
-  ~RpcWorkerClient();
+  /// Talks as endpoint "worker-<worker_id>" to `ps_endpoint` on `bus`,
+  /// which must outlive the transport.
+  BusTransport(int worker_id, MessageBus* bus, std::string ps_endpoint,
+               const RpcRetryPolicy& retry = RpcRetryPolicy());
 
-  RpcWorkerClient(const RpcWorkerClient&) = delete;
-  RpcWorkerClient& operator=(const RpcWorkerClient&) = delete;
-
-  int worker_id() const { return worker_id_; }
-  int push_window() const { return push_window_; }
-
-  /// Retries performed so far (attempts beyond the first). Atomic: the
-  /// push sender retries concurrently with the owner's RPCs.
-  int64_t retry_count() const {
+  Result<PsLayout> Layout() override;
+  Status Push(int clock, const SparseVector& update,
+              const Partitioner* layout) override;
+  Status PullFull(std::vector<double>* values, int* cmin) override;
+  Status PullDelta(const std::vector<int64_t>& cached_tags,
+                   DeltaPullResult* result) override;
+  Status PullRange(int64_t begin, int64_t end,
+                   std::vector<double>* values) override;
+  Result<bool> CanAdvance(int next_clock) override;
+  /// Returns DeadlineExceeded after retry.max_admission_probes denied
+  /// probes (0 = poll forever), FailedPrecondition once the service has
+  /// evicted this worker.
+  Status WaitUntilCanAdvance(int next_clock,
+                             const std::atomic<bool>* cancel) override;
+  void WakeWaiters() override {}  // the poll loop re-checks each probe
+  Result<int64_t> StableVersion() override;
+  Status ReportClock(int clock, double seconds) override;
+  Status Readmit(int clock) override;
+  MetricsRegistry* metrics() override;
+  /// Atomic: the push sender retries concurrently with other calls.
+  int64_t retry_count() const override {
     return retry_count_.load(std::memory_order_relaxed);
   }
 
-  /// Synchronous when push_window == 0. Pipelined otherwise: returns as
-  /// soon as the update is queued (or the window has space), with any
-  /// earlier async failure returned instead — once latched, nothing
-  /// further is enqueued until Readmit() resets the pipeline.
-  Status Push(int clock, const SparseVector& update);
-
-  /// Drains the push window (no-op when push_window == 0) and returns
-  /// the latched async-push error, if any.
-  Status Flush();
-
-  /// Push wall time the pipeline overlapped with the owner's compute:
-  /// total async send time minus the time the owner actually blocked on
-  /// the window. Call after Flush() for a settled value.
-  double push_hidden_seconds() const;
-
-  /// Full pull; fills `replica` and `cmin`.
-  Status Pull(std::vector<double>* replica, int* cmin);
-
-  /// Version-aware pull through the client-side partition cache: sends
-  /// the cached per-partition content tags, applies the changed pieces
-  /// (whole blocks or sparse deltas) onto the pristine cache, and hands
-  /// back a mutable copy. Transparently performs the kLayout handshake
-  /// on first use. Falls back to re-pulling with cleared tags when a
-  /// delta's base tag no longer matches (e.g. the server restored a
-  /// checkpoint between pulls). Result is bit-identical to Pull().
-  Status PullCached(std::vector<double>* replica, int* cmin);
-
-  /// Cumulative content bytes received by PullCached vs. what cache-less
-  /// full pulls would have cost (tests / experiments).
-  int64_t pulled_bytes() const { return pulled_bytes_; }
-  int64_t pulled_bytes_full() const { return pulled_bytes_full_; }
-
-  /// Values of keys [begin, end).
-  Status PullRange(int64_t begin, int64_t end,
-                   std::vector<double>* values);
-
-  /// Single admission probe.
-  Result<bool> CanAdvance(int next_clock);
-
-  /// Polls CanAdvance until it holds. Returns DeadlineExceeded after
-  /// retry.max_admission_probes denied probes (0 = forever), or
-  /// FailedPrecondition when the service has evicted this worker.
-  Status WaitUntilCanAdvance(int next_clock);
-
-  Result<int64_t> StableVersion();
-
-  /// Reports the measured duration of this worker's last compute clock
-  /// to the master's straggler statistics (kReportClock).
-  Status ReportClock(int clock, double seconds);
-
-  /// Asks the service to readmit this (evicted) worker as of `clock`
-  /// finished clocks (kReadmit). FailedPrecondition when the worker is
-  /// already live or `clock` is behind cmin.
-  Status Readmit(int clock);
-
  private:
+  /// One request/response exchange, retried on DeadlineExceeded only.
   Result<std::vector<uint8_t>> Roundtrip(std::vector<uint8_t> request);
-
-  /// Fetches the server's partition layout (kLayout) once and builds the
-  /// local Partitioner + tag map.
-  Status EnsureLayout();
-
-  /// One kPullDelta round trip; sets `*tag_mismatch` when a delta's base
-  /// tag did not match the cache (caller resets tags and retries).
-  Status PullCachedOnce(int* cmin, bool* tag_mismatch);
-
-  /// Encodes one push request on the owner thread: kPushColumnar when
-  /// the layout handshake has run (partitioner_ is owner-only state the
-  /// sender must never touch), legacy kPush otherwise.
-  std::vector<uint8_t> EncodePush(int clock, const SparseVector& update);
-
-  /// Background sender: pops encoded pushes FIFO, issues the RPC, and
-  /// latches the first failure into push_error_.
-  void SenderLoop();
+  /// Roundtrip for requests whose reply is just a status.
+  Status CallForStatus(std::vector<uint8_t> request);
 
   int worker_id_;
   MessageBus* bus_;
@@ -399,30 +330,21 @@ class RpcWorkerClient {
   /// Mirrors retry_count_ into GlobalMetrics() ("rpc.client_retries",
   /// summed across clients) for metrics.json.
   Counter* retries_metric_;
+  /// Model dimension from the handshake: the whole-model baseline of
+  /// DeltaPullResult::bytes_full.
+  int64_t dim_ = 0;
+};
 
-  /// --- Push pipeline (all guarded by send_mu_ unless noted). ---
-  const int push_window_;
-  mutable std::mutex send_mu_;
-  std::condition_variable send_cv_;   // wakes the sender (work / stop)
-  std::condition_variable space_cv_;  // wakes the owner (slot / drained)
-  std::deque<std::pair<int, std::vector<uint8_t>>> send_queue_;
-  bool stop_sender_ = false;
-  int inflight_ = 0;  // queued + currently sending
-  int inflight_peak_ = 0;
-  Status push_error_;  // first async failure, latched until Readmit()
-  double async_push_seconds_ = 0.0;
-  double owner_blocked_seconds_ = 0.0;
-  Gauge* inflight_gauge_ = nullptr;
-  Gauge* inflight_peak_gauge_ = nullptr;
-  std::thread sender_;
-
-  /// Client partition cache (PullCached): layout handshake result,
-  /// pristine last-received state, and per-partition content tags.
-  std::unique_ptr<Partitioner> partitioner_;
-  std::vector<double> cache_;
-  std::vector<int64_t> cached_tags_;
-  int64_t pulled_bytes_ = 0;
-  int64_t pulled_bytes_full_ = 0;
+/// PsClient over a BusTransport, pulling through the replica cache.
+class RpcWorkerClient final : public PsClient {
+ public:
+  RpcWorkerClient(int worker_id, MessageBus* bus, std::string ps_endpoint,
+                  const RpcRetryPolicy& retry = RpcRetryPolicy(),
+                  int push_window = 0)
+      : PsClient(worker_id,
+                 std::make_unique<BusTransport>(
+                     worker_id, bus, std::move(ps_endpoint), retry),
+                 /*delta_pull=*/true, push_window) {}
 };
 
 }  // namespace hetps

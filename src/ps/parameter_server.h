@@ -213,7 +213,7 @@ class ParameterServer {
                            const std::atomic<bool>* cancel = nullptr);
 
   /// Wakes every thread blocked in WaitUntilCanAdvance so it can re-check
-  /// its cancel token. Used by prefetch teardown (WorkerClient dtor).
+  /// its cancel token. Used by prefetch teardown (PsClient dtor).
   void WakeClockWaiters();
 
   /// Assembles the full dense parameter. When partition_sync is on, pulls

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "util/logging.h"
 #include "util/rng.h"
@@ -155,11 +156,27 @@ std::vector<SparseVector> Partitioner::SplitByPartition(
     }
     return parts;
   }
-  for (size_t i = 0; i < v.nnz(); ++i) {
-    const int64_t key = v.index(i);
-    const int p = PartitionOf(key);
-    parts[static_cast<size_t>(p)].PushBack(
-        key - boundaries_[static_cast<size_t>(p)], v.value(i));
+  // Range schemes: the sorted keys fall into one contiguous run per
+  // partition, cut at the partition boundaries and copied in bulk. Every
+  // push splits its update (client side on the bus, server side in
+  // process), so this is on the push hot path.
+  const std::vector<int64_t>& keys = v.indices();
+  const std::vector<double>& values = v.values();
+  HETPS_CHECK(keys.empty() || (keys.front() >= 0 && keys.back() < dim_))
+      << "key out of range";
+  size_t begin = 0;
+  for (size_t p = 0; p < parts.size() && begin < keys.size(); ++p) {
+    const size_t end = static_cast<size_t>(
+        std::lower_bound(keys.begin() + begin, keys.end(),
+                         boundaries_[p + 1]) -
+        keys.begin());
+    if (end == begin) continue;
+    std::vector<int64_t> local(keys.begin() + begin, keys.begin() + end);
+    for (int64_t& key : local) key -= boundaries_[p];
+    parts[p] = SparseVector(
+        std::move(local),
+        std::vector<double>(values.begin() + begin, values.begin() + end));
+    begin = end;
   }
   return parts;
 }

@@ -1,0 +1,394 @@
+#include "ps/ps_client.h"
+
+#include <algorithm>
+#include <chrono>
+#include <cstring>
+#include <string>
+#include <utility>
+
+#include "math/kernels.h"
+#include "obs/trace.h"
+#include "util/logging.h"
+
+namespace hetps {
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double SecondsSince(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// Pull attempts before persistent base-tag mismatches become an error.
+constexpr int kMaxTagAttempts = 3;
+
+}  // namespace
+
+PsClient::PsClient(int worker_id, std::unique_ptr<PsTransport> transport,
+                   bool delta_pull, int push_window)
+    : worker_id_(worker_id),
+      transport_(std::move(transport)),
+      delta_pull_(delta_pull),
+      push_window_(push_window) {
+  HETPS_CHECK(transport_ != nullptr) << "null PsTransport";
+  HETPS_CHECK(push_window >= 0) << "negative push window";
+  if (push_window_ >= 1) {
+    inflight_gauge_ = transport_->metrics()->gauge("push.inflight");
+    inflight_peak_gauge_ = transport_->metrics()->gauge("push.inflight_peak");
+    sender_ = std::thread([this] { SenderLoop(); });
+  }
+}
+
+PsClient::~PsClient() {
+  CancelPrefetch();
+  if (sender_.joinable()) {
+    // The sender drains the queue before exiting, so every accepted push
+    // is attempted even when the trainer tears down mid-window.
+    {
+      std::lock_guard<std::mutex> lock(send_mu_);
+      stop_sender_ = true;
+    }
+    send_cv_.notify_all();
+    sender_.join();
+    RefreshHiddenLocked();  // sender joined: no lock needed
+  }
+}
+
+void PsClient::SenderLoop() {
+  for (;;) {
+    PendingPush item;
+    {
+      std::unique_lock<std::mutex> lock(send_mu_);
+      send_cv_.wait(lock, [this] {
+        return stop_sender_ || !send_queue_.empty();
+      });
+      if (send_queue_.empty()) return;  // stop requested and drained
+      item = std::move(send_queue_.front());
+      send_queue_.pop_front();
+    }
+    const Clock::time_point start = Clock::now();
+    const Status st = transport_->Push(item.clock, item.update, item.layout);
+    const double dur = SecondsSince(start);
+    {
+      std::lock_guard<std::mutex> lock(send_mu_);
+      async_push_seconds_ += dur;
+      if (!st.ok() && push_error_.ok()) {
+        // First failure wins; the next owner call that drains returns it.
+        push_error_ = Status(st.code(), "async push of clock " +
+                                            std::to_string(item.clock) +
+                                            " failed: " + st.message());
+      }
+      --inflight_;
+      inflight_gauge_->Add(-1.0);
+    }
+    space_cv_.notify_all();
+  }
+}
+
+void PsClient::RefreshHiddenLocked() {
+  breakdown_.push_hidden_seconds =
+      std::max(0.0, async_push_seconds_ - owner_blocked_seconds_);
+}
+
+Status PsClient::Flush() {
+  if (push_window_ == 0) return Status::OK();
+  std::unique_lock<std::mutex> lock(send_mu_);
+  if (inflight_ > 0) {
+    const Clock::time_point start = Clock::now();
+    space_cv_.wait(lock, [this] { return inflight_ == 0; });
+    const double blocked = SecondsSince(start);
+    owner_blocked_seconds_ += blocked;
+    breakdown_.comm_seconds += blocked;
+  }
+  RefreshHiddenLocked();
+  return push_error_;
+}
+
+Status PsClient::Push(int clock, const SparseVector& update) {
+  // Overlapping a prefetch for a *later* clock is the intended pipeline
+  // (the push may even be what admits the prefetch). Pushing the
+  // prefetched clock itself while its pull is in flight means the
+  // caller's loop lost its ordering.
+  HETPS_CHECK(!prefetch_.has_value() || clock < prefetch_clock_)
+      << "Push(clock=" << clock << ") racing in-flight prefetch for clock "
+      << prefetch_clock_;
+  const Partitioner* layout =
+      layout_.has_value() ? &layout_->partitioner : nullptr;
+  if (push_window_ == 0) {
+    const Clock::time_point start = Clock::now();
+    const Status st = transport_->Push(clock, update, layout);
+    breakdown_.comm_seconds += SecondsSince(start);
+    HETPS_RETURN_NOT_OK(st);
+  } else {
+    // Only the backpressure block (window full) costs the owner wall
+    // time — the part of push latency the pipeline failed to hide.
+    {
+      std::unique_lock<std::mutex> lock(send_mu_);
+      if (inflight_ >= push_window_ && push_error_.ok()) {
+        const Clock::time_point start = Clock::now();
+        space_cv_.wait(lock, [this] {
+          return inflight_ < push_window_ || !push_error_.ok();
+        });
+        const double blocked = SecondsSince(start);
+        owner_blocked_seconds_ += blocked;
+        breakdown_.comm_seconds += blocked;
+      }
+      HETPS_RETURN_NOT_OK(push_error_);
+      send_queue_.push_back(PendingPush{clock, update, layout});
+      ++inflight_;
+      if (inflight_ > inflight_peak_) {
+        inflight_peak_ = inflight_;
+        inflight_peak_gauge_->Set(static_cast<double>(inflight_peak_));
+      }
+      inflight_gauge_->Add(1.0);
+    }
+    send_cv_.notify_one();
+  }
+  ++breakdown_.clocks_completed;
+  ++push_count_;
+  return Status::OK();
+}
+
+Status PsClient::EnsureLayout() {
+  if (layout_.has_value()) return Status::OK();
+  Result<PsLayout> layout = transport_->Layout();
+  HETPS_RETURN_NOT_OK(layout.status());
+  layout_.emplace(std::move(layout).value());
+  return Status::OK();
+}
+
+Result<bool> PsClient::MaybePull(int clock, std::vector<double>* replica) {
+  HETPS_RETURN_NOT_OK(EnsureLayout());
+  if (!layout_->sync.NeedsPull(clock, cached_cmin_)) return false;
+  HETPS_RETURN_NOT_OK(PullBlocking(clock + 1, replica));
+  return true;
+}
+
+Status PsClient::PullBlocking(int next_clock, std::vector<double>* replica) {
+  HETPS_RETURN_NOT_OK(WaitUntilCanAdvance(next_clock));
+  return Refresh(replica);
+}
+
+Status PsClient::WaitUntilCanAdvance(int next_clock) {
+  // The admission decision depends on the clock table this worker's own
+  // queued pushes advance, so they land first (and a latched failure,
+  // e.g. eviction, returns here instead of waiting forever).
+  HETPS_RETURN_NOT_OK(Flush());
+  HETPS_TRACE_SPAN1("worker.wait", "worker", worker_id_);
+  const Clock::time_point start = Clock::now();
+  const Status st = transport_->WaitUntilCanAdvance(next_clock, nullptr);
+  breakdown_.wait_seconds += SecondsSince(start);
+  return st;
+}
+
+Status PsClient::OwnerPull(bool cached, std::vector<double>* replica,
+                           int* cmin) {
+  // The prefetch task owns the replica cache until FinishPrefetch.
+  HETPS_CHECK(!prefetch_.has_value()) << "pull racing in-flight prefetch";
+  // Read-your-writes: the refreshed replica reflects this worker's own
+  // pushed clocks.
+  HETPS_RETURN_NOT_OK(Flush());
+  if (cached) HETPS_RETURN_NOT_OK(EnsureLayout());
+  const Clock::time_point start = Clock::now();
+  int c = 0;
+  const Status st = Fetch(cached, replica, &c);
+  breakdown_.comm_seconds += SecondsSince(start);
+  HETPS_RETURN_NOT_OK(st);
+  cached_cmin_ = c;
+  if (cmin != nullptr) *cmin = c;
+  ++pull_count_;
+  return Status::OK();
+}
+
+Status PsClient::Fetch(bool cached, std::vector<double>* replica,
+                       int* cmin) {
+  if (!cached) return transport_->PullFull(replica, cmin);
+  if (cached_tags_.empty()) {
+    cache_.assign(static_cast<size_t>(layout_->partitioner.dim()), 0.0);
+    cached_tags_.assign(
+        static_cast<size_t>(layout_->partitioner.num_partitions()),
+        kNoCachedTag);
+  }
+  for (int attempt = 0; attempt < kMaxTagAttempts; ++attempt) {
+    DeltaPullResult delta;
+    HETPS_RETURN_NOT_OK(transport_->PullDelta(cached_tags_, &delta));
+    bool mismatch = false;
+    HETPS_RETURN_NOT_OK(ApplyToCache(delta, &mismatch));
+    if (!mismatch) {
+      *replica = cache_;  // the trainer gets a mutable copy
+      *cmin = delta.cmin;
+      return Status::OK();
+    }
+    // Mismatched partitions had their tags reset; the retry ships them
+    // whole. One more round trip normally suffices.
+  }
+  return Status::Internal("delta pull base tags kept mismatching");
+}
+
+Status PsClient::ApplyToCache(const DeltaPullResult& delta,
+                              bool* tag_mismatch) {
+  const Partitioner& part = layout_->partitioner;
+  for (const PartitionPull& pp : delta.partitions) {
+    const int p = pp.partition;
+    if (p < 0 || p >= part.num_partitions()) {
+      return Status::InvalidArgument("piece partition id out of range");
+    }
+    const size_t slot = static_cast<size_t>(p);
+    const int64_t dim_p = part.PartitionDim(p);
+    // Range-based schemes map a partition onto one contiguous global key
+    // interval, so whole pieces apply with memcpy / vector kernels at the
+    // base offset; hash striding falls back to per-key GlobalIndex.
+    int64_t base = 0;
+    const bool contiguous = part.ContiguousKeyRange(p, &base);
+    switch (pp.encoding) {
+      case PartitionPull::Encoding::kUnchanged:
+        // Content tag matched: the pristine copy is already current.
+        break;
+      case PartitionPull::Encoding::kDense:
+        if (pp.dense.size() != static_cast<size_t>(dim_p)) {
+          return Status::InvalidArgument("dense piece has wrong length");
+        }
+        if (contiguous) {
+          std::memcpy(cache_.data() + base, pp.dense.data(),
+                      pp.dense.size() * sizeof(double));
+        } else {
+          for (size_t local = 0; local < pp.dense.size(); ++local) {
+            const int64_t g =
+                part.GlobalIndex(p, static_cast<int64_t>(local));
+            cache_[static_cast<size_t>(g)] = pp.dense[local];
+          }
+        }
+        break;
+      case PartitionPull::Encoding::kSparse:
+        // Whole block in sparse layout: clear the partition's slots,
+        // then scatter the nonzeros.
+        if (pp.sparse.MinimumDimension() > dim_p) {
+          return Status::InvalidArgument("sparse piece index out of range");
+        }
+        if (contiguous) {
+          std::fill(cache_.begin() + base, cache_.begin() + base + dim_p,
+                    0.0);
+          kernels::ScatterAxpy(1.0, pp.sparse.indices().data(),
+                               pp.sparse.values().data(), pp.sparse.nnz(),
+                               cache_.data() + base);
+        } else {
+          for (int64_t local = 0; local < dim_p; ++local) {
+            cache_[static_cast<size_t>(part.GlobalIndex(p, local))] = 0.0;
+          }
+          for (size_t i = 0; i < pp.sparse.nnz(); ++i) {
+            const int64_t g = part.GlobalIndex(p, pp.sparse.index(i));
+            cache_[static_cast<size_t>(g)] = pp.sparse.value(i);
+          }
+        }
+        break;
+      case PartitionPull::Encoding::kSparseDelta:
+        if (pp.sparse.MinimumDimension() > dim_p) {
+          return Status::InvalidArgument("delta piece index out of range");
+        }
+        if (pp.base_tag != cached_tags_[slot]) {
+          // A delta against state we no longer (or never) held: drop it
+          // and re-pull this partition whole on the caller's retry.
+          *tag_mismatch = true;
+          cached_tags_[slot] = kNoCachedTag;
+          continue;
+        }
+        if (contiguous) {
+          kernels::ScatterAxpy(1.0, pp.sparse.indices().data(),
+                               pp.sparse.values().data(), pp.sparse.nnz(),
+                               cache_.data() + base);
+        } else {
+          for (size_t i = 0; i < pp.sparse.nnz(); ++i) {
+            const int64_t g = part.GlobalIndex(p, pp.sparse.index(i));
+            cache_[static_cast<size_t>(g)] += pp.sparse.value(i);
+          }
+        }
+        break;
+    }
+    cached_tags_[slot] = pp.tag;
+  }
+  pulled_bytes_ += delta.bytes_shipped;
+  pulled_bytes_full_ += delta.bytes_full;
+  return Status::OK();
+}
+
+void PsClient::StartPrefetch(int next_clock) {
+  HETPS_CHECK(!prefetch_.has_value()) << "prefetch already in flight";
+  // The layout is owner-thread state: fetch it before the task reads it.
+  const Status layout = delta_pull_ ? EnsureLayout() : Status::OK();
+  prefetch_clock_ = next_clock;
+  prefetch_ = std::async(std::launch::async, [this, next_clock, layout] {
+    Prefetched result;
+    result.status = layout;
+    if (result.status.ok()) {
+      result.status =
+          transport_->WaitUntilCanAdvance(next_clock, &cancel_prefetch_);
+    }
+    if (result.status.ok()) {
+      result.status = Fetch(delta_pull_, &result.replica, &result.cmin);
+    }
+    return result;
+  });
+}
+
+Result<bool> PsClient::FinishPrefetch(std::vector<double>* replica) {
+  if (!prefetch_.has_value()) return false;
+  // Only the un-overlapped remainder counts as wait: the async pull ran
+  // beside the clock's computation.
+  const Clock::time_point start = Clock::now();
+  Prefetched result = prefetch_->get();
+  breakdown_.wait_seconds += SecondsSince(start);
+  prefetch_.reset();
+  prefetch_clock_ = -1;
+  HETPS_RETURN_NOT_OK(result.status);
+  *replica = std::move(result.replica);
+  cached_cmin_ = result.cmin;
+  ++pull_count_;
+  return true;
+}
+
+void PsClient::CancelPrefetch() {
+  if (!prefetch_.has_value()) return;
+  // The task may be parked in the admission wait with no push ever
+  // coming (the trainer aborted): raise the flag, wake the waiters, then
+  // join — the task returns instead of outliving the server.
+  cancel_prefetch_.store(true, std::memory_order_release);
+  transport_->WakeWaiters();
+  prefetch_->wait();
+  prefetch_.reset();
+  cancel_prefetch_.store(false, std::memory_order_release);
+  prefetch_clock_ = -1;
+}
+
+Status PsClient::PullRange(int64_t begin, int64_t end,
+                           std::vector<double>* values) {
+  HETPS_RETURN_NOT_OK(Flush());
+  return transport_->PullRange(begin, end, values);
+}
+
+Result<bool> PsClient::CanAdvance(int next_clock) {
+  HETPS_RETURN_NOT_OK(Flush());
+  return transport_->CanAdvance(next_clock);
+}
+
+Result<int64_t> PsClient::StableVersion() {
+  HETPS_RETURN_NOT_OK(Flush());
+  return transport_->StableVersion();
+}
+
+Status PsClient::ReportClock(int clock, double seconds) {
+  const Clock::time_point start = Clock::now();
+  const Status st = transport_->ReportClock(clock, seconds);
+  breakdown_.comm_seconds += SecondsSince(start);
+  return st;
+}
+
+Status PsClient::Readmit(int clock) {
+  if (push_window_ >= 1) {
+    (void)Flush();
+    std::lock_guard<std::mutex> lock(send_mu_);
+    push_error_ = Status::OK();
+  }
+  return transport_->Readmit(clock);
+}
+
+}  // namespace hetps

@@ -2,205 +2,85 @@
 #define HETPS_PS_WORKER_CLIENT_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <future>
-#include <mutex>
-#include <optional>
-#include <thread>
-#include <utility>
+#include <memory>
 #include <vector>
 
-#include "math/sparse_vector.h"
-#include "obs/breakdown.h"
 #include "ps/parameter_server.h"
+#include "ps/ps_client.h"
+#include "util/logging.h"
 
 namespace hetps {
 
-/// Worker-side handle implementing the client half of Algorithm 1: push
-/// the per-clock update, track the cached cmin (cp), and refresh the
-/// replica only when the SSP policy requires it.
-///
-/// ## Partition replica cache (version-aware pull path)
-///
-/// With `delta_pull` on (default), the client keeps a *pristine* copy of
-/// the last server state it received (`cache_`) plus one content tag per
-/// partition. A pull sends the tag map; the PS answers per partition
-/// with nothing (tag unchanged), a whole block, or a sparse delta that
-/// is applied on top of the cached copy (ParameterServer::PullDelta).
-/// The pristine copy is required because the trainer mutates the replica
-/// it is handed (local SGD steps), so deltas can never be applied to the
-/// trainer's vector directly.
-///
-/// ## Threading & the push pipeline
-///
-/// One instance per worker thread; not shareable across threads. Two
-/// background tasks exist:
-///
-/// 1. The prefetch task: between StartPrefetch() and FinishPrefetch()
-///    it owns the replica cache, so the owner thread must not pull in
-///    that window (checked). Push *is* allowed to overlap a prefetch —
-///    that is the entire point of prefetching (Appendix D) — but only
-///    for clocks strictly before the prefetched one (checked): pushing
-///    the prefetched clock itself while its pull is still in flight is
-///    a loop-sequencing bug.
-///
-/// 2. The push sender (`push_window >= 1`): Push() enqueues the update
-///    and returns so the owner computes clock c+1 while the push of
-///    clock c is in flight (window 1 = double-buffering; Push blocks
-///    once `push_window` pushes are outstanding). The sender issues
-///    pushes FIFO, preserving the per-worker clock monotonicity the
-///    clock table requires. The worker's own unsent pushes keep its
-///    clock-table entry (hence cmin) low, so pipelining is
-///    self-limiting under SSP: a worker can run at most `push_window`
-///    clocks ahead of what the server has consolidated from it, on top
-///    of the policy's staleness bound. PullBlocking drains the window
-///    first (read-your-writes: a refresh must observe this worker's own
-///    updates), as do Flush() and the destructor. `push_window == 0` is
-///    byte-for-byte the synchronous path — no sender thread exists.
-///
-/// The destructor cancels/joins any in-flight prefetch, so a
-/// WorkerClient can be destroyed (and the PS torn down after it) even
-/// while a prefetch is blocked in the SSP admission wait.
-class WorkerClient {
+/// PsTransport that calls a shared, locked ParameterServer directly —
+/// the threaded runtime's wire. Nothing is serialized and nothing fails.
+class InProcessTransport : public PsTransport {
  public:
-  /// `delta_pull` enables the partition replica cache; off = every pull
-  /// ships the whole model (the pre-cache behavior, kept for A/B).
-  /// `push_window` bounds the asynchronous push pipeline: 0 =
-  /// synchronous pushes (today's path, bitwise-identical), >= 1 = at
-  /// most that many pushes in flight behind a background sender.
-  WorkerClient(int worker_id, ParameterServer* ps, bool delta_pull = true,
-               int push_window = 0);
-  ~WorkerClient();
+  /// `ps` must outlive the transport.
+  InProcessTransport(ParameterServer* ps, int worker_id)
+      : ps_(ps), worker_(worker_id) {
+    HETPS_CHECK(ps != nullptr) << "null ParameterServer";
+    HETPS_CHECK(worker_id >= 0 && worker_id < ps->num_workers())
+        << "worker id out of range";
+  }
 
-  WorkerClient(const WorkerClient&) = delete;
-  WorkerClient& operator=(const WorkerClient&) = delete;
-
-  int worker_id() const { return worker_id_; }
-  int push_window() const { return push_window_; }
-
-  /// Pushes the local update that finishes `clock`. With a push window,
-  /// enqueues and returns — blocking only while the window is full.
-  void Push(int clock, const SparseVector& update);
-
-  /// Drains the push pipeline: blocks until every enqueued push has been
-  /// applied by the server. No-op when push_window is 0 or nothing is in
-  /// flight. Also refreshes breakdown().push_hidden_seconds.
-  void Flush();
-
-  /// Algorithm 1 lines 8-9: returns true (and refreshes `*replica`) if the
-  /// cached cmin forces a pull before starting `clock + 1`. Blocks while
-  /// the SSP constraint denies the next clock.
-  bool MaybePull(int clock, std::vector<double>* replica);
-
-  /// Unconditional blocking pull for `next_clock` (used at start-up).
-  void PullBlocking(int next_clock, std::vector<double>* replica);
-
-  /// Parameter pre-fetching (Appendix D): starts the SSP admission wait
-  /// and the pull on a background thread so they overlap with this
-  /// clock's computation. At most one prefetch may be in flight. The
-  /// prefetched state is slightly staler than an on-demand pull (it can
-  /// miss pushes arriving between the prefetch and its consumption) —
-  /// the usual prefetching trade.
-  void StartPrefetch(int next_clock);
-
-  /// True if a prefetch is in flight.
-  bool prefetch_active() const { return prefetch_.has_value(); }
-
-  /// Installs the prefetched replica (blocking until it is ready).
-  /// Returns false — leaving `replica` untouched — if none was started
-  /// (or the prefetch was cancelled).
-  bool FinishPrefetch(std::vector<double>* replica);
-
-  /// cp — the cmin returned by the last pull.
-  int cached_cmin() const { return cached_cmin_; }
-
-  /// Pushes and pulls performed (for tests and traces).
-  int64_t push_count() const { return push_count_; }
-  int64_t pull_count() const { return pull_count_; }
-
-  /// Cumulative wire accounting of this client's pulls: content bytes
-  /// the server actually shipped vs. what cache-less whole-model pulls
-  /// would have cost. Equal when delta_pull is off.
-  int64_t pulled_bytes() const { return pulled_bytes_; }
-  int64_t pulled_bytes_full() const { return pulled_bytes_full_; }
-
-  /// Content tags of the cached partitions (tests / introspection).
-  const std::vector<int64_t>& cached_tags() const { return cached_tags_; }
-
-  /// Where this worker's PS-facing time went (Figure 6's comm vs. SSP
-  /// wait; compute_seconds stays 0 — the trainer owns compute).
-  /// Prefetch waits count only the un-overlapped remainder (the block
-  /// inside FinishPrefetch), which is exactly the time prefetching
-  /// failed to hide.
-  const WorkerTimeBreakdown& breakdown() const { return breakdown_; }
+  Result<PsLayout> Layout() override {
+    return PsLayout{ps_->partitioner(), ps_->options().sync};
+  }
+  Status Push(int clock, const SparseVector& update,
+              const Partitioner* /*layout*/) override {
+    ps_->Push(worker_, clock, update);
+    return Status::OK();
+  }
+  Status PullFull(std::vector<double>* values, int* cmin) override {
+    *values = ps_->PullFull(worker_, cmin);
+    return Status::OK();
+  }
+  Status PullDelta(const std::vector<int64_t>& cached_tags,
+                   DeltaPullResult* result) override {
+    *result = ps_->PullDelta(worker_, cached_tags);
+    return Status::OK();
+  }
+  Status PullRange(int64_t begin, int64_t end,
+                   std::vector<double>* values) override {
+    *values = ps_->PullRange(worker_, begin, end);
+    return Status::OK();
+  }
+  Result<bool> CanAdvance(int next_clock) override {
+    return ps_->CanAdvance(worker_, next_clock);
+  }
+  Status WaitUntilCanAdvance(int next_clock,
+                             const std::atomic<bool>* cancel) override {
+    return ps_->WaitUntilCanAdvance(worker_, next_clock, cancel)
+               ? Status::OK()
+               : Status::Aborted("admission wait cancelled");
+  }
+  void WakeWaiters() override { ps_->WakeClockWaiters(); }
+  Result<int64_t> StableVersion() override { return ps_->StableVersion(); }
+  Status ReportClock(int /*clock*/, double seconds) override {
+    ps_->master()->ReportClockTime(worker_, seconds);
+    return Status::OK();
+  }
+  Status Readmit(int clock) override {
+    return ps_->ReadmitWorker(worker_, clock);
+  }
+  MetricsRegistry* metrics() override { return ps_->metrics(); }
 
  private:
-  struct PrefetchResult {
-    bool valid = false;
-    std::vector<double> replica;
-    int cmin = 0;
-  };
-
-  /// One blocking pull: delta path (updates cache_/cached_tags_) or
-  /// whole-model path. Runs on the owner thread or the prefetch task —
-  /// never both at once (see class comment).
-  PrefetchResult DoPull();
-
-  /// Applies a PullDelta response onto the pristine cache.
-  void ApplyToCache(const DeltaPullResult& result);
-
-  /// Cancels and joins an in-flight prefetch (destructor path).
-  void CancelPrefetch();
-
-  /// Sender-thread body (push_window_ >= 1): dequeues FIFO, pushes to
-  /// the PS, decrements the in-flight count, wakes blocked producers.
-  void SenderLoop();
-
-  /// Recomputes push_hidden_seconds (call with send_mu_ held): the
-  /// sender's push wall time minus the time the owner thread spent
-  /// blocked on the pipeline (enqueue backpressure + drains) — i.e. the
-  /// push latency the pipeline actually hid behind compute.
-  void RefreshHiddenLocked();
-
-  int worker_id_;
   ParameterServer* ps_;
-  bool delta_pull_;
-  int push_window_;
-  int cached_cmin_ = 0;
-  int64_t push_count_ = 0;
-  int64_t pull_count_ = 0;
-  int64_t pulled_bytes_ = 0;
-  int64_t pulled_bytes_full_ = 0;
+  int worker_;
+};
 
-  // Pristine last-received server state (delta_pull only) and its
-  // per-partition content tags.
-  std::vector<double> cache_;
-  std::vector<int64_t> cached_tags_;
-
-  std::optional<std::future<PrefetchResult>> prefetch_;
-  int prefetch_clock_ = -1;
-  std::atomic<bool> cancel_prefetch_{false};
-  WorkerTimeBreakdown breakdown_;
-
-  // --- Push pipeline (push_window_ >= 1 only) ---
-  // send_mu_ guards the queue, the in-flight count and the sender-side
-  // time accumulators; the owner thread and the sender are its only
-  // users. FIFO order on the queue preserves per-worker clock
-  // monotonicity at the server.
-  std::mutex send_mu_;
-  std::condition_variable send_cv_;   // wakes the sender (work / stop)
-  std::condition_variable space_cv_;  // wakes the owner (slot free / drained)
-  std::deque<std::pair<int, SparseVector>> send_queue_;
-  bool stop_sender_ = false;
-  int inflight_ = 0;       // queued + currently sending
-  int inflight_peak_ = 0;  // high-water mark over the client's lifetime
-  double async_push_seconds_ = 0.0;    // sender wall time inside ps_->Push
-  double owner_blocked_seconds_ = 0.0; // owner wall time blocked on the pipe
-  Gauge* inflight_gauge_ = nullptr;
-  Gauge* inflight_peak_gauge_ = nullptr;
-  std::thread sender_;
+/// PsClient over an InProcessTransport. `delta_pull` enables the
+/// partition replica cache (off = every pull ships the whole model);
+/// `push_window` bounds the asynchronous push pipeline (0 = synchronous).
+class WorkerClient final : public PsClient {
+ public:
+  WorkerClient(int worker_id, ParameterServer* ps, bool delta_pull = true,
+               int push_window = 0)
+      : PsClient(worker_id,
+                 std::make_unique<InProcessTransport>(ps, worker_id),
+                 delta_pull, push_window) {}
 };
 
 }  // namespace hetps

@@ -1,5 +1,9 @@
 #include "util/status.h"
 
+#include <cstdlib>
+
+#include "util/logging.h"
+
 namespace hetps {
 
 const char* StatusCodeName(StatusCode code) {
@@ -41,5 +45,14 @@ std::string Status::ToString() const {
   }
   return out;
 }
+
+namespace internal {
+
+void DieWithStatus(const char* what, const Status& status) {
+  HETPS_LOG(Fatal) << what << ": " << status.ToString();
+  std::abort();  // unreachable: a Fatal log aborts
+}
+
+}  // namespace internal
 
 }  // namespace hetps

@@ -104,8 +104,14 @@ inline bool operator==(const Status& a, const Status& b) {
   return a.code() == b.code() && a.message() == b.message();
 }
 
+namespace internal {
+/// Logs `what` and `status` at Fatal severity; never returns.
+[[noreturn]] void DieWithStatus(const char* what, const Status& status);
+}  // namespace internal
+
 /// Either a value of type T or an error Status. Accessing `value()` when
-/// `!ok()` is a programming error. T need not be default-constructible.
+/// `!ok()` is a programming error: it aborts and prints the status.
+/// T need not be default-constructible.
 template <typename T>
 class Result {
  public:
@@ -117,14 +123,29 @@ class Result {
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
 
-  const T& value() const& { return *value_; }
-  T& value() & { return *value_; }
-  T&& value() && { return std::move(*value_); }
+  const T& value() const& {
+    CheckOk();
+    return *value_;
+  }
+  T& value() & {
+    CheckOk();
+    return *value_;
+  }
+  T&& value() && {
+    CheckOk();
+    return std::move(*value_);
+  }
 
-  const T& operator*() const& { return *value_; }
-  T& operator*() & { return *value_; }
+  const T& operator*() const& { return value(); }
+  T& operator*() & { return value(); }
 
  private:
+  void CheckOk() const {
+    if (!status_.ok()) {
+      internal::DieWithStatus("Result::value() on an error", status_);
+    }
+  }
+
   Status status_;
   std::optional<T> value_;
 };
@@ -137,6 +158,17 @@ class Result {
   do {                                            \
     ::hetps::Status _st = (expr);                 \
     if (!_st.ok()) return _st;                    \
+  } while (0)
+
+/// Aborts, printing the status, when `expr` is not OK — for calls that
+/// cannot fail in context (e.g. an in-process transport). Usage:
+///   HETPS_CHECK_OK(client.Push(c, update));
+#define HETPS_CHECK_OK(expr)                                        \
+  do {                                                              \
+    const ::hetps::Status _st = (expr);                             \
+    if (!_st.ok()) {                                                \
+      ::hetps::internal::DieWithStatus("Check failed: " #expr, _st); \
+    }                                                               \
   } while (0)
 
 #endif  // HETPS_UTIL_STATUS_H_

@@ -66,6 +66,18 @@ TEST(ResultTest, MoveOutValue) {
   EXPECT_EQ(v, "payload");
 }
 
+TEST(ResultDeathTest, ValueOnErrorDiesWithTheStatus) {
+  Result<int> r = Status::NotFound("missing");
+  EXPECT_DEATH((void)r.value(), "NotFound: missing");
+  EXPECT_DEATH((void)*r, "NotFound: missing");
+  EXPECT_DEATH((void)std::move(r).value(), "NotFound: missing");
+}
+
+TEST(StatusDeathTest, CheckOkDiesWithTheStatus) {
+  HETPS_CHECK_OK(Status::OK());
+  EXPECT_DEATH(HETPS_CHECK_OK(Status::Aborted("inner")), "Aborted: inner");
+}
+
 Status Helper(bool fail) {
   HETPS_RETURN_NOT_OK(fail ? Status::Aborted("inner") : Status::OK());
   return Status::OK();
