@@ -7,14 +7,16 @@
 //      whole-model pulls would have cost, plus wall time for both pull
 //      modes. This is the acceptance number: the reduction must be >= 5x.
 //   2. "sim": the event simulator's comm model with delta_pull on/off on
-//      a URL-like SSP run — shows the simulated job-time effect of
-//      shipping only changed partitions.
+//      a CTR-like ConSGD run (SSP s=2) — shows the simulated job-time
+//      effect of shipping only changed partitions. Each run must end
+//      below its first-clock objective, or the bench fails: timing a
+//      diverged run measures nothing.
 //   3. "serializer": bulk (columnar/memcpy) wire throughput for dense
 //      and sparse vectors, seeding the serialization trajectory.
 //
 // Writes BENCH_pull.json (argv[1] overrides the path) with schema
 // hetps.bench.pull.v1; CI's bench-smoke job uploads it and asserts the
-// reduction floor.
+// reduction floor and the sim leg's convergence.
 
 #include <chrono>
 #include <cstdio>
@@ -252,7 +254,7 @@ int main(int argc, char** argv) {
     options.partitions_per_server = 8;
     options.scheme = PartitionScheme::kRange;
     options.delta_pull = d != 0;
-    SspRule rule;
+    ConRule rule;
     FixedRate sched(0.5);
     sim[d] = RunSimulation(dataset, cluster, rule, sched, *loss, options);
   }
@@ -274,8 +276,8 @@ int main(int argc, char** argv) {
                     Fmt(sim[0].total_sim_seconds, 1),
                     Fmt(sim[0].final_objective, 4)});
   std::printf(
-      "=== Simulated comm model (CTR-like, range-partitioned, SSP s=2, "
-      "M=8, hl=2) ===\n"
+      "=== Simulated comm model (CTR-like, range-partitioned, ConSGD, "
+      "SSP s=2, M=8, hl=2) ===\n"
       "%s\nsimulated bytes reduction: %.1fx\n\n",
       sim_table.ToString().c_str(), sim_reduction);
 
@@ -324,10 +326,21 @@ int main(int argc, char** argv) {
   out.close();
   std::printf("wrote %s\n", out_path.c_str());
 
+  int rc = 0;
   if (reduction < 5.0) {
     std::printf("FAIL: pulled-bytes reduction %.2fx below the 5x "
                 "acceptance floor\n", reduction);
-    return 1;
+    rc = 1;
   }
-  return 0;
+  for (int d = 0; d <= 1; ++d) {
+    const std::vector<double>& obj = sim[d].objective_per_clock;
+    if (obj.empty() || !(sim[d].final_objective < obj.front())) {
+      std::printf("FAIL: sim %s run did not converge (objective %.4f at "
+                  "the first clock, %.4f at the end)\n",
+                  d != 0 ? "delta" : "full",
+                  obj.empty() ? 0.0 : obj.front(), sim[d].final_objective);
+      rc = 1;
+    }
+  }
+  return rc;
 }

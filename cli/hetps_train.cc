@@ -39,7 +39,8 @@
 //                        [--iters=0]
 //   hetps_train obs-ctl  --bus=/tmp/hetps.sock [--trace=on|off]
 //                        [--exemplars=on|off]
-//                        [--slow_us=N [--slow_op=push|pull|...|all]]
+//                        [--slow_us=N
+//                         [--slow_op=push_columnar|pull_delta|...|all]]
 //                        [--flight_dump]
 //
 // The last three talk to a *running* `train --runtime=rpc
@@ -73,6 +74,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -590,18 +592,10 @@ Result<std::string> GatewayCall(GatewayClient* client,
 }
 
 /// Maps `--slow_op` names onto wire opcodes; 0 is the service's
-/// "all opcodes" wildcard, 255 flags an unknown name.
-uint8_t OpByteFromName(const std::string& name) {
-  static const std::map<std::string, uint8_t> kOps = {
-      {"all", 0},          {"push", 1},
-      {"pull", 2},         {"pull_range", 3},
-      {"can_advance", 4},  {"stable_version", 5},
-      {"pull_delta", 6},   {"layout", 7},
-      {"report_clock", 8}, {"readmit", 9},
-      {"push_columnar", 10}, {"status", 11},
-      {"metrics_scrape", 12}, {"obs_control", 13}};
-  const auto it = kOps.find(name);
-  return it == kOps.end() ? 255 : it->second;
+/// "all opcodes" wildcard.
+std::optional<uint8_t> OpByteFromName(const std::string& name) {
+  if (name == "all") return uint8_t{0};
+  return PsOpFromName(name);
 }
 
 Status ConnectGateway(const FlagParser& flags, GatewayClient* client) {
@@ -650,6 +644,16 @@ int RunDumpStatus(const FlagParser& flags) {
 /// trace sampling, histogram exemplars, per-opcode slow-request
 /// thresholds, on-demand flight-recorder dumps.
 int RunObsCtl(const FlagParser& flags) {
+  // A --slow_op no handler answers is a usage error, refused before
+  // connecting (the retired push and pull opcodes never arrive).
+  const int64_t slow_us = FlagOrExit(flags.GetInt("slow_us", -1));
+  const std::string op_name =
+      slow_us >= 0 ? flags.GetString("slow_op", "all") : "";
+  const std::optional<uint8_t> slow_op = OpByteFromName(op_name);
+  if (slow_us >= 0 && !slow_op.has_value()) {
+    Fail(Status::InvalidArgument("unknown --slow_op: " + op_name));
+    return 2;
+  }
   GatewayClient client;
   Status conn = ConnectGateway(flags, &client);
   if (!conn.ok()) return Fail(conn);
@@ -682,17 +686,11 @@ int RunObsCtl(const FlagParser& flags) {
              exemplars == "on" ? "exemplars on" : "exemplars off");
     if (rc != 0) return rc;
   }
-  const int64_t slow_us = FlagOrExit(flags.GetInt("slow_us", -1));
   if (slow_us >= 0) {
-    const std::string op_name = flags.GetString("slow_op", "all");
-    const uint8_t op = OpByteFromName(op_name);
-    if (op == 255) {
-      return Fail(Status::InvalidArgument("unknown --slow_op: " + op_name));
-    }
     ByteWriter w;
     w.WriteU8(kCtl);
     w.WriteU8(3);
-    w.WriteU8(op);
+    w.WriteU8(*slow_op);
     w.WriteI64(slow_us);
     const int rc = send(w.TakeBuffer(),
                         ("slow threshold (" + op_name + ")").c_str());

@@ -43,7 +43,7 @@ struct ThreadedTrainerOptions {
   bool prefetch = false;
   /// Version-aware pull path (§6): workers cache partition replicas by
   /// content tag and the PS ships only changed partitions (dense piece
-  /// or sparse delta, whichever is smaller). Off = every pull ships the
+  /// or sparse patch, whichever is smaller). Off = every pull ships the
   /// whole model.
   bool delta_pull = true;
   /// Asynchronous push pipeline (PsClient): 0 = synchronous pushes

@@ -49,25 +49,33 @@ bool IsObsOpcode(const std::vector<uint8_t>& payload) {
          op == static_cast<uint8_t>(PsOpCode::kObsControl);
 }
 
-/// Opcode-byte -> literal name (flight-recorder notes must be string
-/// literals; the ring never copies).
-const char* OpName(uint8_t op) {
-  switch (static_cast<PsOpCode>(op)) {
-    case PsOpCode::kPush: return "push";
-    case PsOpCode::kPull: return "pull";
-    case PsOpCode::kPullRange: return "pull_range";
-    case PsOpCode::kCanAdvance: return "can_advance";
-    case PsOpCode::kStableVersion: return "stable_version";
-    case PsOpCode::kPullDelta: return "pull_delta";
-    case PsOpCode::kLayout: return "layout";
-    case PsOpCode::kReportClock: return "report_clock";
-    case PsOpCode::kReadmit: return "readmit";
-    case PsOpCode::kPushColumnar: return "push_columnar";
-    case PsOpCode::kStatus: return "status";
-    case PsOpCode::kMetricsScrape: return "metrics_scrape";
-    case PsOpCode::kObsControl: return "obs_control";
+/// Every opcode the service answers: its wire name (a string literal —
+/// flight-recorder notes must be, the ring never copies) and its
+/// per-instance request counter.
+struct OpInfo {
+  PsOpCode op;
+  const char* name;
+  const char* counter;
+};
+constexpr OpInfo kOps[] = {
+    {PsOpCode::kPushColumnar, "push_columnar", "rpc.push_columnar"},
+    {PsOpCode::kPullDelta, "pull_delta", "rpc.pull_delta"},
+    {PsOpCode::kLayout, "layout", "rpc.layout"},
+    {PsOpCode::kPullRange, "pull_range", "rpc.pull_range"},
+    {PsOpCode::kCanAdvance, "can_advance", "rpc.can_advance"},
+    {PsOpCode::kStableVersion, "stable_version", "rpc.stable_version"},
+    {PsOpCode::kReportClock, "report_clock", "rpc.report_clock"},
+    {PsOpCode::kReadmit, "readmit", "rpc.readmit"},
+    {PsOpCode::kStatus, "status", "rpc.status"},
+    {PsOpCode::kMetricsScrape, "metrics_scrape", "rpc.metrics_scrape"},
+    {PsOpCode::kObsControl, "obs_control", "rpc.obs_control"},
+};
+
+const OpInfo* FindOp(uint8_t op) {
+  for (const OpInfo& info : kOps) {
+    if (static_cast<uint8_t>(info.op) == op) return &info;
   }
-  return "unknown";
+  return nullptr;
 }
 
 /// Parses "worker-<id>" endpoint names; -1 for anything else (servers,
@@ -89,6 +97,18 @@ int ParseWorkerId(const std::string& endpoint) {
 }
 
 }  // namespace
+
+const char* PsOpName(uint8_t op) {
+  const OpInfo* info = FindOp(op);
+  return info != nullptr ? info->name : "unknown";
+}
+
+std::optional<uint8_t> PsOpFromName(const std::string& name) {
+  for (const OpInfo& info : kOps) {
+    if (name == info.name) return static_cast<uint8_t>(info.op);
+  }
+  return std::nullopt;
+}
 
 PsService::PsService(ParameterServer* ps, MessageBus* bus,
                      std::string endpoint_name,
@@ -112,30 +132,10 @@ PsService::PsService(ParameterServer* ps, MessageBus* bus,
     }
   }
   MetricsRegistry& global = GlobalMetrics();
-  handle_push_us_ = global.histogram("rpc.handle_us", {{"op", "push"}});
-  handle_push_columnar_us_ =
-      global.histogram("rpc.handle_us", {{"op", "push_columnar"}});
-  handle_pull_us_ = global.histogram("rpc.handle_us", {{"op", "pull"}});
-  handle_pull_delta_us_ =
-      global.histogram("rpc.handle_us", {{"op", "pull_delta"}});
-  handle_layout_us_ =
-      global.histogram("rpc.handle_us", {{"op", "layout"}});
-  handle_pull_range_us_ =
-      global.histogram("rpc.handle_us", {{"op", "pull_range"}});
-  handle_can_advance_us_ =
-      global.histogram("rpc.handle_us", {{"op", "can_advance"}});
-  handle_stable_version_us_ =
-      global.histogram("rpc.handle_us", {{"op", "stable_version"}});
-  handle_report_clock_us_ =
-      global.histogram("rpc.handle_us", {{"op", "report_clock"}});
-  handle_readmit_us_ =
-      global.histogram("rpc.handle_us", {{"op", "readmit"}});
-  handle_status_us_ =
-      global.histogram("rpc.handle_us", {{"op", "status"}});
-  handle_metrics_scrape_us_ =
-      global.histogram("rpc.handle_us", {{"op", "metrics_scrape"}});
-  handle_obs_control_us_ =
-      global.histogram("rpc.handle_us", {{"op", "obs_control"}});
+  for (const OpInfo& info : kOps) {
+    handle_us_[static_cast<uint8_t>(info.op)] =
+        global.histogram("rpc.handle_us", {{"op", info.name}});
+  }
   handle_other_us_ = global.histogram("rpc.handle_us", {{"op", "other"}});
   registration_ = bus->RegisterEndpoint(
       endpoint_name_,
@@ -223,70 +223,42 @@ std::vector<uint8_t> PsService::Handle(const Envelope& request) {
   if (!st.ok()) {
     response = ErrorResponse(st);
   } else {
+    if (const OpInfo* info = FindOp(op); info != nullptr) {
+      metrics_.counter(info->counter)->Increment();
+      handle_us = handle_us_[op];
+    }
     switch (static_cast<PsOpCode>(op)) {
-      case PsOpCode::kPush:
-        metrics_.counter("rpc.push")->Increment();
-        handle_us = handle_push_us_;
-        response = HandlePush(&reader);
-        break;
       case PsOpCode::kPushColumnar:
-        metrics_.counter("rpc.push_columnar")->Increment();
-        handle_us = handle_push_columnar_us_;
         response = HandlePushColumnar(&reader);
         break;
-      case PsOpCode::kPull:
-        metrics_.counter("rpc.pull")->Increment();
-        handle_us = handle_pull_us_;
-        response = HandlePull(&reader);
-        break;
       case PsOpCode::kPullDelta:
-        metrics_.counter("rpc.pull_delta")->Increment();
-        handle_us = handle_pull_delta_us_;
         response = HandlePullDelta(&reader);
         break;
       case PsOpCode::kLayout:
-        metrics_.counter("rpc.layout")->Increment();
-        handle_us = handle_layout_us_;
         response = HandleLayout(&reader);
         break;
       case PsOpCode::kPullRange:
-        metrics_.counter("rpc.pull_range")->Increment();
-        handle_us = handle_pull_range_us_;
         response = HandlePullRange(&reader);
         break;
       case PsOpCode::kCanAdvance:
-        metrics_.counter("rpc.can_advance")->Increment();
-        handle_us = handle_can_advance_us_;
         response = HandleCanAdvance(&reader);
         break;
       case PsOpCode::kStableVersion:
-        metrics_.counter("rpc.stable_version")->Increment();
-        handle_us = handle_stable_version_us_;
         response = HandleStableVersion(&reader);
         break;
       case PsOpCode::kReportClock:
-        metrics_.counter("rpc.report_clock")->Increment();
-        handle_us = handle_report_clock_us_;
         response = HandleReportClock(&reader);
         break;
       case PsOpCode::kReadmit:
-        metrics_.counter("rpc.readmit")->Increment();
-        handle_us = handle_readmit_us_;
         response = HandleReadmit(request, &reader);
         break;
       case PsOpCode::kStatus:
-        metrics_.counter("rpc.status")->Increment();
-        handle_us = handle_status_us_;
         response = HandleStatus(&reader);
         break;
       case PsOpCode::kMetricsScrape:
-        metrics_.counter("rpc.metrics_scrape")->Increment();
-        handle_us = handle_metrics_scrape_us_;
         response = HandleMetricsScrape(&reader);
         break;
       case PsOpCode::kObsControl:
-        metrics_.counter("rpc.obs_control")->Increment();
-        handle_us = handle_obs_control_us_;
         response = HandleObsControl(&reader);
         break;
       default:
@@ -303,13 +275,13 @@ std::vector<uint8_t> PsService::Handle(const Envelope& request) {
   // can retain it as an OpenMetrics exemplar (no-op unless exemplars
   // are enabled via kObsControl / --exemplars).
   handle_us->RecordInt(duration_us, request.trace_id);
-  if (st.ok() && op < 32 && slow_threshold_us_[op] > 0 &&
+  if (st.ok() && op < kOpSlots && slow_threshold_us_[op] > 0 &&
       duration_us >= slow_threshold_us_[op]) {
     // Structured slow-request entry: the black box keeps the opcode,
     // sender, duration, and the trace_id that finds the full span.
     FlightRecorder::Global().Record(
         "slow_request", ParseWorkerId(request.from), /*clock=*/-1,
-        static_cast<double>(duration_us), OpName(op), request.trace_id);
+        static_cast<double>(duration_us), PsOpName(op), request.trace_id);
     metrics_.counter("rpc.slow_requests")->Increment();
   }
   if (!response.empty() && response[0] != 0) {
@@ -322,39 +294,6 @@ std::vector<uint8_t> PsService::Handle(const Envelope& request) {
   metrics_.gauge("ps.aux_bytes")
       ->Set(static_cast<double>(ps_->AuxMemoryBytes()));
   return response;
-}
-
-std::vector<uint8_t> PsService::HandlePush(ByteReader* reader) {
-  int64_t worker = 0;
-  int64_t clock = 0;
-  SparseVector update;
-  Status st = reader->ReadI64(&worker);
-  if (st.ok()) st = reader->ReadI64(&clock);
-  if (st.ok()) st = reader->ReadSparseVector(&update);
-  if (st.ok() && (worker < 0 || worker >= ps_->num_workers())) {
-    st = Status::InvalidArgument("worker id out of range");
-  }
-  if (st.ok() && !update.empty() &&
-      update.MinimumDimension() > ps_->dim()) {
-    st = Status::InvalidArgument("update index out of range");
-  }
-  if (!st.ok()) return ErrorResponse(st);
-  // At-least-once delivery tolerance: a retried push (lost response or
-  // duplicated request) must not be applied twice. Workers push strictly
-  // increasing clocks, so clock <= last-applied identifies a duplicate;
-  // acknowledge it idempotently.
-  if (options_.dedup_pushes &&
-      clock <= last_push_clock_[static_cast<size_t>(worker)]) {
-    metrics_.counter("rpc.push_duplicates")->Increment();
-    ByteWriter w;
-    w.WriteU8(0);
-    return w.TakeBuffer();
-  }
-  ps_->Push(static_cast<int>(worker), static_cast<int>(clock), update);
-  last_push_clock_[static_cast<size_t>(worker)] = clock;
-  ByteWriter w;
-  w.WriteU8(0);
-  return w.TakeBuffer();
 }
 
 std::vector<uint8_t> PsService::HandlePushColumnar(ByteReader* reader) {
@@ -373,8 +312,10 @@ std::vector<uint8_t> PsService::HandlePushColumnar(ByteReader* reader) {
     st = Status::InvalidArgument("more pieces than partitions");
   }
   if (!st.ok()) return ErrorResponse(st);
-  // Same retry-dedup contract as kPush: a duplicate (worker, clock) is
-  // acknowledged without decoding or re-applying its pieces.
+  // At-least-once delivery tolerance: a retried push (lost response or
+  // duplicated request) must not be applied twice. Workers push strictly
+  // increasing clocks, so clock <= last-applied identifies a duplicate;
+  // acknowledge it without decoding or re-applying its pieces.
   if (options_.dedup_pushes &&
       clock <= last_push_clock_[static_cast<size_t>(worker)]) {
     metrics_.counter("rpc.push_duplicates")->Increment();
@@ -414,23 +355,6 @@ std::vector<uint8_t> PsService::HandlePushColumnar(ByteReader* reader) {
   last_push_clock_[static_cast<size_t>(worker)] = clock;
   ByteWriter w;
   w.WriteU8(0);
-  return w.TakeBuffer();
-}
-
-std::vector<uint8_t> PsService::HandlePull(ByteReader* reader) {
-  int64_t worker = 0;
-  Status st = reader->ReadI64(&worker);
-  if (st.ok() && (worker < 0 || worker >= ps_->num_workers())) {
-    st = Status::InvalidArgument("worker id out of range");
-  }
-  if (!st.ok()) return ErrorResponse(st);
-  int cmin = 0;
-  const std::vector<double> values =
-      ps_->PullFull(static_cast<int>(worker), &cmin);
-  ByteWriter w;
-  w.WriteU8(0);
-  w.WriteI64(cmin);
-  w.WriteDenseVector(values);
   return w.TakeBuffer();
 }
 
@@ -477,7 +401,7 @@ std::vector<uint8_t> PsService::HandlePullDelta(ByteReader* reader) {
       case PartitionPull::Encoding::kSparse:
         w.WriteSparseVector(pp.sparse);
         break;
-      case PartitionPull::Encoding::kSparseDelta:
+      case PartitionPull::Encoding::kSparsePatch:
         w.WriteI64(pp.base_tag);
         w.WriteSparseVector(pp.sparse);
         break;
@@ -675,7 +599,7 @@ std::vector<uint8_t> PsService::HandleObsControl(ByteReader* reader) {
       if (threshold_us < 0) threshold_us = 0;
       if (target_op == 0) {
         for (int64_t& t : slow_threshold_us_) t = threshold_us;
-      } else if (target_op < 32) {
+      } else if (target_op < kOpSlots) {
         slow_threshold_us_[target_op] = threshold_us;
       } else {
         return ErrorResponse(Status::InvalidArgument(
@@ -786,26 +710,18 @@ Result<PsLayout> BusTransport::Layout() {
 }
 
 Status BusTransport::Push(int clock, const SparseVector& update,
-                          const Partitioner* layout) {
-  ByteWriter w;
-  if (layout == nullptr) {
-    // No layout handshake yet: ship the classic global-indexed frame.
-    w.WriteU8(static_cast<uint8_t>(PsOpCode::kPush));
-    w.WriteI64(worker_id_);
-    w.WriteI64(clock);
-    w.WriteSparseVector(update);
-    return CallForStatus(w.TakeBuffer());
-  }
+                          const Partitioner& layout) {
   // Columnar frame: per-partition pieces with local indices, so the
   // service can route each piece straight to its shard. Empty pieces are
   // elided (the frame carries explicit partition ids); an all-empty push
   // still ships — the server must advance the clock table.
-  const std::vector<SparseVector> pieces = layout->SplitByPartition(update);
+  const std::vector<SparseVector> pieces = layout.SplitByPartition(update);
   uint64_t kept = 0;
   for (const SparseVector& piece : pieces) {
     if (!piece.empty()) ++kept;
   }
   // Header, then per kept piece an id, a count and the entries.
+  ByteWriter w;
   w.Reserve(25 + 16 * (kept + update.nnz()));
   w.WriteU8(static_cast<uint8_t>(PsOpCode::kPushColumnar));
   w.WriteI64(worker_id_);
@@ -817,21 +733,6 @@ Status BusTransport::Push(int clock, const SparseVector& update,
     w.WriteSparseVector(pieces[p]);
   }
   return CallForStatus(w.TakeBuffer());
-}
-
-Status BusTransport::PullFull(std::vector<double>* values, int* cmin) {
-  ByteWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kPull));
-  w.WriteI64(worker_id_);
-  auto response = Roundtrip(w.TakeBuffer());
-  if (!response.ok()) return response.status();
-  ByteReader reader(response.value());
-  HETPS_RETURN_NOT_OK(ConsumeStatus(&reader));
-  int64_t cmin64 = 0;
-  HETPS_RETURN_NOT_OK(reader.ReadI64(&cmin64));
-  HETPS_RETURN_NOT_OK(reader.ReadDenseVector(values));
-  *cmin = static_cast<int>(cmin64);
-  return Status::OK();
 }
 
 Status BusTransport::PullDelta(const std::vector<int64_t>& cached_tags,
@@ -872,7 +773,7 @@ Status BusTransport::PullDelta(const std::vector<int64_t>& cached_tags,
         HETPS_RETURN_NOT_OK(reader.ReadDenseVector(&pp.dense));
         shipped += static_cast<int64_t>(pp.dense.size() * sizeof(double));
         break;
-      case PartitionPull::Encoding::kSparseDelta:
+      case PartitionPull::Encoding::kSparsePatch:
         HETPS_RETURN_NOT_OK(reader.ReadI64(&pp.base_tag));
         [[fallthrough]];
       case PartitionPull::Encoding::kSparse:
@@ -886,7 +787,7 @@ Status BusTransport::PullDelta(const std::vector<int64_t>& cached_tags,
   }
   result->cmin = static_cast<int>(cmin64);
   result->bytes_shipped = shipped;
-  // Baseline: a cache-less kPull ships the whole model dense.
+  // Baseline: the whole model, dense.
   result->bytes_full = dim_ * static_cast<int64_t>(sizeof(double));
   return Status::OK();
 }

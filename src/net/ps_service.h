@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,14 +25,17 @@ namespace hetps {
 /// one-byte status code (0 = OK) followed by an error string when
 /// non-zero.
 enum class PsOpCode : uint8_t {
+  /// Retired: the global-indexed push frame. The number stays reserved;
+  /// the service answers it, like 2 (the retired whole-model pull), as an
+  /// unknown opcode.
   kPush = 1,
-  kPull = 2,
   kPullRange = 3,
   kCanAdvance = 4,
   kStableVersion = 5,
-  /// Version-aware pull: request carries the client's per-partition
-  /// content tags; response ships only changed partitions (dense piece,
-  /// sparse piece, or sparse delta — see ParameterServer::PullDelta).
+  /// The pull: request carries the client's per-partition content tags
+  /// (all kNoCachedTag for a whole-model pull); response ships only
+  /// changed partitions (dense piece, sparse piece, or sparse patch of
+  /// current values — see ParameterServer::PullDelta).
   kPullDelta = 6,
   /// Layout handshake: returns (scheme, dim, num_servers,
   /// num_partitions, protocol, staleness) so a client can reconstruct the
@@ -53,9 +57,9 @@ enum class PsOpCode : uint8_t {
   /// partition id + a partition-local columnar SparseVector. The handler
   /// routes pieces straight to their shards (ParameterServer::PushPieces)
   /// without rebuilding a dim-wide global vector, and pieces apply
-  /// shard-parallel when PsOptions::push_parallelism allows. Clients fall
-  /// back to kPush until the kLayout handshake has run (the split needs
-  /// the Partitioner). Dedup semantics are identical to kPush.
+  /// shard-parallel when PsOptions::push_parallelism allows. The only
+  /// push frame: clients run the kLayout handshake before their first
+  /// push (the split needs the Partitioner).
   kPushColumnar = 10,
   /// Live-introspection snapshot (hetps.status.v1 JSON): per-worker
   /// clock/staleness/liveness, cmin/cmax, loan balances, push-window
@@ -78,6 +82,13 @@ enum class PsOpCode : uint8_t {
   /// 4 = trigger an on-demand flight-recorder dump.
   kObsControl = 13,
 };
+
+/// Wire name of an opcode the service answers ("push_columnar",
+/// "pull_delta", ... — the op label of rpc.handle_us), or "unknown".
+const char* PsOpName(uint8_t op);
+
+/// The opcode PsOpName calls `name`, or nullopt.
+std::optional<uint8_t> PsOpFromName(const std::string& name);
 
 /// Heartbeat-driven worker liveness (the SSP liveness repair: one dead
 /// worker must not pin cmin and stall every survivor forever).
@@ -179,9 +190,7 @@ class PsService {
   /// Evicts (or counts, when eviction is disabled) every worker whose
   /// last heartbeat predates now - timeout. Runs on the service loop.
   void SweepDeadWorkers(double now);
-  std::vector<uint8_t> HandlePush(ByteReader* reader);
   std::vector<uint8_t> HandlePushColumnar(ByteReader* reader);
-  std::vector<uint8_t> HandlePull(ByteReader* reader);
   std::vector<uint8_t> HandlePullDelta(ByteReader* reader);
   std::vector<uint8_t> HandleLayout(ByteReader* reader);
   std::vector<uint8_t> HandlePullRange(ByteReader* reader);
@@ -202,20 +211,10 @@ class PsService {
   /// Per-op handler latency quantiles land in GlobalMetrics() (as
   /// rpc.handle_us{op=...}) so RunReporter's single snapshot sees them;
   /// the per-instance counters above stay in metrics_ for tests and
-  /// per-server "sources" sections.
-  HistogramMetric* handle_push_us_;
-  HistogramMetric* handle_push_columnar_us_;
-  HistogramMetric* handle_pull_us_;
-  HistogramMetric* handle_pull_delta_us_;
-  HistogramMetric* handle_layout_us_;
-  HistogramMetric* handle_pull_range_us_;
-  HistogramMetric* handle_can_advance_us_;
-  HistogramMetric* handle_stable_version_us_;
-  HistogramMetric* handle_report_clock_us_;
-  HistogramMetric* handle_readmit_us_;
-  HistogramMetric* handle_status_us_;
-  HistogramMetric* handle_metrics_scrape_us_;
-  HistogramMetric* handle_obs_control_us_;
+  /// per-server "sources" sections. Indexed by opcode byte; null for
+  /// bytes no handler answers, which record into handle_other_us_.
+  static constexpr uint8_t kOpSlots = 32;
+  HistogramMetric* handle_us_[kOpSlots] = {};
   HistogramMetric* handle_other_us_;
   /// Last clock applied per worker (-1 = none); only touched by the
   /// single service-loop thread.
@@ -239,7 +238,7 @@ class PsService {
   MetricsSnapshot last_scrape_;
   /// Per-opcode slow-request thresholds in microseconds (0 = off), set
   /// via kObsControl; indexed by raw opcode byte. Service loop only.
-  int64_t slow_threshold_us_[32] = {};
+  int64_t slow_threshold_us_[kOpSlots] = {};
 };
 
 /// Client-side timeout/retry policy: every RPC waits at most `timeout`
@@ -278,11 +277,10 @@ struct RpcRetryPolicy {
 /// byte work — encoding, Roundtrip with the RpcRetryPolicy, the kLayout
 /// handshake, and validating every response as untrusted bytes.
 ///
-/// Pushes ship as kPushColumnar once the caller passes the handshaken
-/// layout (the split needs the Partitioner), as legacy kPush before.
-/// Blocking admission polls kCanAdvance with a small sleep between
-/// probes: a blocking server call would stall the single-threaded
-/// service loop and deadlock the cluster. The probes double as this
+/// Pushes ship as kPushColumnar, split by the handshaken layout PsClient
+/// passes in. Blocking admission polls kCanAdvance with a small sleep
+/// between probes: a blocking server call would stall the
+/// single-threaded service loop and deadlock the cluster. The probes double as this
 /// worker's heartbeats.
 class BusTransport final : public PsTransport {
  public:
@@ -293,8 +291,7 @@ class BusTransport final : public PsTransport {
 
   Result<PsLayout> Layout() override;
   Status Push(int clock, const SparseVector& update,
-              const Partitioner* layout) override;
-  Status PullFull(std::vector<double>* values, int* cmin) override;
+              const Partitioner& layout) override;
   Status PullDelta(const std::vector<int64_t>& cached_tags,
                    DeltaPullResult* result) override;
   Status PullRange(int64_t begin, int64_t end,

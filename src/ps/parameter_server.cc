@@ -38,10 +38,14 @@ int64_t MicrosSince(Clock::time_point start) {
       .count();
 }
 
-/// Wire-size estimate of a sparse piece: index + value per entry.
-int64_t PieceBytes(const SparseVector& piece) {
-  return static_cast<int64_t>(piece.nnz()) *
+/// Wire-size estimate of `nnz` sparse entries: index + value each.
+int64_t SparseBytes(size_t nnz) {
+  return static_cast<int64_t>(nnz) *
          static_cast<int64_t>(sizeof(int64_t) + sizeof(double));
+}
+
+int64_t PieceBytes(const SparseVector& piece) {
+  return SparseBytes(piece.nnz());
 }
 
 // Content-tag layout (see the MakeTag doc comment in the header):
@@ -526,14 +530,13 @@ PiecePullPlan ParameterServer::PlanPullPiece(int partition, int worker,
   }
   plan.changed = true;
   plan.bytes = plan.bytes_full;
-  // A delta ship can undercut the whole-block ship when the client's tag
-  // is a live tag from the current epoch and the delta log still reaches
-  // back to it.
+  // A patch can undercut the whole-block ship when the client's tag is a
+  // live tag from the current epoch and the delta log still reaches back
+  // to it.
   if (!versioned && TagInCurrentEpoch(cached_tag, /*versioned=*/false)) {
-    SparseVector delta;
-    if (shard.DeltaSince(TagValue(cached_tag), &delta)) {
-      const int64_t delta_bytes = PieceBytes(delta);
-      if (delta_bytes < plan.bytes) plan.bytes = delta_bytes;
+    std::vector<int64_t> keys;
+    if (shard.DeltaSince(TagValue(cached_tag), &keys)) {
+      plan.bytes = std::min(plan.bytes, SparseBytes(keys.size()));
     }
   }
   return plan;
@@ -585,19 +588,24 @@ PartitionPull ParameterServer::BuildPartitionPull(
       out.encoding = PartitionPull::Encoding::kUnchanged;
       return out;
     }
-    // Try the delta ship first (live-tag mode only; versioned snapshots
-    // change wholesale at stable-version boundaries).
+    // Try the patch first (live-tag mode only; versioned snapshots
+    // change wholesale at stable-version boundaries). It carries the
+    // current values at the keys written since the cached tag — gathered
+    // under this lock, so they match out.tag exactly. Delta logs exist
+    // only for support-local rules, whose materialized block is the
+    // parameter block itself.
+    std::vector<int64_t> keys;
     if (!use_versioned_tags &&
-        TagInCurrentEpoch(cached_tag, /*versioned=*/false)) {
-      SparseVector delta;
-      if (shard->DeltaSince(TagValue(cached_tag), &delta) &&
-          PieceBytes(delta) < *bytes_full_out) {
-        shard->StampPull(worker, cmax_now);
-        out.encoding = PartitionPull::Encoding::kSparseDelta;
-        out.base_tag = cached_tag;
-        out.sparse = std::move(delta);
-        return out;
-      }
+        TagInCurrentEpoch(cached_tag, /*versioned=*/false) &&
+        shard->DeltaSince(TagValue(cached_tag), &keys) &&
+        SparseBytes(keys.size()) < *bytes_full_out) {
+      shard->StampPull(worker, cmax_now);
+      std::vector<double> values(keys.size());
+      shard->param().Gather(keys.data(), keys.size(), values.data());
+      out.encoding = PartitionPull::Encoding::kSparsePatch;
+      out.base_tag = cached_tag;
+      out.sparse = SparseVector(std::move(keys), std::move(values));
+      return out;
     }
     // Whole-block ship: materialize, then pick the cheaper layout
     // (ParamBlock's 50% rule applied to the materialized content).
@@ -739,7 +747,7 @@ DeltaPullResult ParameterServer::PullDelta(
         ++shipped;
         result.bytes_shipped += PieceBytes(pp.sparse);
         break;
-      case PartitionPull::Encoding::kSparseDelta:
+      case PartitionPull::Encoding::kSparsePatch:
         ++shipped;
         ++delta_ships;
         result.bytes_shipped += PieceBytes(pp.sparse);

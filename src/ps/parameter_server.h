@@ -76,16 +76,17 @@ struct PartitionPull {
     kDense = 1,
     /// Whole block, sparse layout (`sparse` holds the nonzeros).
     kSparse = 2,
-    /// Arithmetic difference since the client's cached copy (`sparse`
-    /// holds the delta; valid only against `base_tag`).
-    kSparseDelta = 3,
+    /// Current values of the keys written since the client's cached
+    /// copy (`sparse` holds them; the client overwrites those keys).
+    /// Valid only against `base_tag`.
+    kSparsePatch = 3,
   };
 
   int partition = 0;
   Encoding encoding = Encoding::kUnchanged;
   /// Content tag of the partition after this pull.
   int64_t tag = kNoCachedTag;
-  /// For kSparseDelta: the cached tag the delta applies on top of. The
+  /// For kSparsePatch: the cached tag the patch applies on top of. The
   /// client must verify it still holds that exact tag (a retried or
   /// reordered RPC could race a newer response) and fall back to a full
   /// pull on mismatch.
@@ -123,7 +124,7 @@ struct PiecePullPlan {
 /// Thread-safe facade over the partitioned server shards, the global clock
 /// table, and the master — the "logical PS" the paper's Figure 1 shows.
 ///
-/// The threaded runtime calls Push/PullFull/WaitUntilCanAdvance directly.
+/// The threaded runtime calls Push/PullDelta/WaitUntilCanAdvance directly.
 /// The event simulator drives shards piecewise (PushPiece / PullAssemble)
 /// so it can model per-partition message timing.
 ///
@@ -227,7 +228,9 @@ class ParameterServer {
   /// (kNoCachedTag if none; a short vector is padded with kNoCachedTag).
   /// For every partition the response carries the new tag plus either
   /// nothing (kUnchanged), the whole block (dense or sparse, 50% rule),
-  /// or the sparse delta since the cached tag — whichever is smallest.
+  /// or a patch of the current values at the keys written since the
+  /// cached tag — whichever is smallest. All tags kNoCachedTag is the
+  /// whole-model pull.
   /// Pull state is stamped on *every* partition (a cache hit is still a
   /// read at cmax, Algorithm 2 line 18). Assembly is shard-parallel when
   /// options().pull_parallelism allows.
@@ -259,7 +262,7 @@ class ParameterServer {
 
   /// Plans one partition of a version-aware pull without materializing:
   /// compares `cached_tag` against the partition's current content tag
-  /// and reports what a response would ship (delta / sparse / dense
+  /// and reports what a response would ship (patch / sparse / dense
   /// bytes, 50% rule). Does NOT stamp pull state — the simulator calls
   /// this at grant time to size messages, then PullPieceTagged at read
   /// time. `version` as in PullPiece.

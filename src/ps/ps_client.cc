@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "math/kernels.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 
@@ -67,7 +66,8 @@ void PsClient::SenderLoop() {
       send_queue_.pop_front();
     }
     const Clock::time_point start = Clock::now();
-    const Status st = transport_->Push(item.clock, item.update, item.layout);
+    const Status st =
+        transport_->Push(item.clock, item.update, layout_->partitioner);
     const double dur = SecondsSince(start);
     {
       std::lock_guard<std::mutex> lock(send_mu_);
@@ -112,11 +112,16 @@ Status PsClient::Push(int clock, const SparseVector& update) {
   HETPS_CHECK(!prefetch_.has_value() || clock < prefetch_clock_)
       << "Push(clock=" << clock << ") racing in-flight prefetch for clock "
       << prefetch_clock_;
-  const Partitioner* layout =
-      layout_.has_value() ? &layout_->partitioner : nullptr;
+  // The split by partition needs the layout, and checking the keys here
+  // keeps a bad update from reaching it (or the server).
+  HETPS_RETURN_NOT_OK(EnsureLayout());
+  if (update.MinimumDimension() > layout_->partitioner.dim()) {
+    return Status::InvalidArgument("update index out of range");
+  }
   if (push_window_ == 0) {
     const Clock::time_point start = Clock::now();
-    const Status st = transport_->Push(clock, update, layout);
+    const Status st =
+        transport_->Push(clock, update, layout_->partitioner);
     breakdown_.comm_seconds += SecondsSince(start);
     HETPS_RETURN_NOT_OK(st);
   } else {
@@ -134,7 +139,7 @@ Status PsClient::Push(int clock, const SparseVector& update) {
         breakdown_.comm_seconds += blocked;
       }
       HETPS_RETURN_NOT_OK(push_error_);
-      send_queue_.push_back(PendingPush{clock, update, layout});
+      send_queue_.push_back(PendingPush{clock, update});
       ++inflight_;
       if (inflight_ > inflight_peak_) {
         inflight_peak_ = inflight_;
@@ -188,7 +193,7 @@ Status PsClient::OwnerPull(bool cached, std::vector<double>* replica,
   // Read-your-writes: the refreshed replica reflects this worker's own
   // pushed clocks.
   HETPS_RETURN_NOT_OK(Flush());
-  if (cached) HETPS_RETURN_NOT_OK(EnsureLayout());
+  HETPS_RETURN_NOT_OK(EnsureLayout());
   const Clock::time_point start = Clock::now();
   int c = 0;
   const Status st = Fetch(cached, replica, &c);
@@ -202,9 +207,12 @@ Status PsClient::OwnerPull(bool cached, std::vector<double>* replica,
 
 Status PsClient::Fetch(bool cached, std::vector<double>* replica,
                        int* cmin) {
-  if (!cached) return transport_->PullFull(replica, cmin);
-  if (cached_tags_.empty()) {
+  if (cache_.empty()) {
     cache_.assign(static_cast<size_t>(layout_->partitioner.dim()), 0.0);
+  }
+  // No tags: every partition ships whole, so the cache ends holding the
+  // whole model (and stays warm for the next cached pull).
+  if (!cached || cached_tags_.empty()) {
     cached_tags_.assign(
         static_cast<size_t>(layout_->partitioner.num_partitions()),
         kNoCachedTag);
@@ -212,6 +220,10 @@ Status PsClient::Fetch(bool cached, std::vector<double>* replica,
   for (int attempt = 0; attempt < kMaxTagAttempts; ++attempt) {
     DeltaPullResult delta;
     HETPS_RETURN_NOT_OK(transport_->PullDelta(cached_tags_, &delta));
+    if (cached) {
+      pulled_bytes_ += delta.bytes_shipped;
+      pulled_bytes_full_ += delta.bytes_full;
+    }
     bool mismatch = false;
     HETPS_RETURN_NOT_OK(ApplyToCache(delta, &mismatch));
     if (!mismatch) {
@@ -222,7 +234,7 @@ Status PsClient::Fetch(bool cached, std::vector<double>* replica,
     // Mismatched partitions had their tags reset; the retry ships them
     // whole. One more round trip normally suffices.
   }
-  return Status::Internal("delta pull base tags kept mismatching");
+  return Status::Internal("pull patch base tags kept mismatching");
 }
 
 Status PsClient::ApplyToCache(const DeltaPullResult& delta,
@@ -236,8 +248,8 @@ Status PsClient::ApplyToCache(const DeltaPullResult& delta,
     const size_t slot = static_cast<size_t>(p);
     const int64_t dim_p = part.PartitionDim(p);
     // Range-based schemes map a partition onto one contiguous global key
-    // interval, so whole pieces apply with memcpy / vector kernels at the
-    // base offset; hash striding falls back to per-key GlobalIndex.
+    // interval, so pieces apply at its base offset (dense ones with
+    // memcpy); hash striding falls back to per-key GlobalIndex.
     int64_t base = 0;
     const bool contiguous = part.ContiguousKeyRange(p, &base);
     switch (pp.encoding) {
@@ -260,61 +272,52 @@ Status PsClient::ApplyToCache(const DeltaPullResult& delta,
         }
         break;
       case PartitionPull::Encoding::kSparse:
-        // Whole block in sparse layout: clear the partition's slots,
-        // then scatter the nonzeros.
+      case PartitionPull::Encoding::kSparsePatch: {
+        const bool patch =
+            pp.encoding == PartitionPull::Encoding::kSparsePatch;
         if (pp.sparse.MinimumDimension() > dim_p) {
-          return Status::InvalidArgument("sparse piece index out of range");
+          return Status::InvalidArgument(
+              patch ? "patch piece index out of range"
+                    : "sparse piece index out of range");
         }
-        if (contiguous) {
-          std::fill(cache_.begin() + base, cache_.begin() + base + dim_p,
-                    0.0);
-          kernels::ScatterAxpy(1.0, pp.sparse.indices().data(),
-                               pp.sparse.values().data(), pp.sparse.nnz(),
-                               cache_.data() + base);
-        } else {
-          for (int64_t local = 0; local < dim_p; ++local) {
-            cache_[static_cast<size_t>(part.GlobalIndex(p, local))] = 0.0;
-          }
-          for (size_t i = 0; i < pp.sparse.nnz(); ++i) {
-            const int64_t g = part.GlobalIndex(p, pp.sparse.index(i));
-            cache_[static_cast<size_t>(g)] = pp.sparse.value(i);
-          }
-        }
-        break;
-      case PartitionPull::Encoding::kSparseDelta:
-        if (pp.sparse.MinimumDimension() > dim_p) {
-          return Status::InvalidArgument("delta piece index out of range");
-        }
-        if (pp.base_tag != cached_tags_[slot]) {
-          // A delta against state we no longer (or never) held: drop it
-          // and re-pull this partition whole on the caller's retry.
+        if (patch && pp.base_tag != cached_tags_[slot]) {
+          // A patch on state we no longer (or never) held: drop it and
+          // re-pull this partition whole on the caller's retry.
           *tag_mismatch = true;
           cached_tags_[slot] = kNoCachedTag;
           continue;
         }
+        // A whole block in sparse layout clears the partition's slots
+        // first; a patch overwrites only its keys with current values.
+        const int64_t* idx = pp.sparse.indices().data();
+        const double* val = pp.sparse.values().data();
         if (contiguous) {
-          kernels::ScatterAxpy(1.0, pp.sparse.indices().data(),
-                               pp.sparse.values().data(), pp.sparse.nnz(),
-                               cache_.data() + base);
+          double* block = cache_.data() + base;
+          if (!patch) std::fill(block, block + dim_p, 0.0);
+          for (size_t i = 0; i < pp.sparse.nnz(); ++i) block[idx[i]] = val[i];
         } else {
+          if (!patch) {
+            for (int64_t local = 0; local < dim_p; ++local) {
+              cache_[static_cast<size_t>(part.GlobalIndex(p, local))] = 0.0;
+            }
+          }
           for (size_t i = 0; i < pp.sparse.nnz(); ++i) {
-            const int64_t g = part.GlobalIndex(p, pp.sparse.index(i));
-            cache_[static_cast<size_t>(g)] += pp.sparse.value(i);
+            cache_[static_cast<size_t>(part.GlobalIndex(p, idx[i]))] =
+                val[i];
           }
         }
         break;
+      }
     }
     cached_tags_[slot] = pp.tag;
   }
-  pulled_bytes_ += delta.bytes_shipped;
-  pulled_bytes_full_ += delta.bytes_full;
   return Status::OK();
 }
 
 void PsClient::StartPrefetch(int next_clock) {
   HETPS_CHECK(!prefetch_.has_value()) << "prefetch already in flight";
   // The layout is owner-thread state: fetch it before the task reads it.
-  const Status layout = delta_pull_ ? EnsureLayout() : Status::OK();
+  const Status layout = EnsureLayout();
   prefetch_clock_ = next_clock;
   prefetch_ = std::async(std::launch::async, [this, next_clock, layout] {
     Prefetched result;

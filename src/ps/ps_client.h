@@ -36,7 +36,8 @@ struct PsLayout {
 /// directly; BusTransport (net/ps_service.h) serializes each call over a
 /// MessageBus. PsClient may call Push (sender thread) and the pulls and
 /// admission wait (prefetch task) concurrently with its owner thread.
-/// Layout() is called once, on the owner thread, before any PullDelta.
+/// Layout() is called once, on the owner thread, before any Push or
+/// PullDelta.
 class PsTransport {
  public:
   virtual ~PsTransport() = default;
@@ -44,18 +45,17 @@ class PsTransport {
   /// The server's partition layout and sync policy.
   virtual Result<PsLayout> Layout() = 0;
 
-  /// Pushes the update that finishes `clock`. `layout` is the client's
-  /// copy of the server's layout, or nullptr before Layout() has run; a
-  /// transport may use it to ship the update pre-split by partition.
+  /// Pushes the update that finishes `clock`, whose keys are all below
+  /// the layout's dim. `layout` is the client's copy of the server's
+  /// layout; a transport may use it to ship the update pre-split by
+  /// partition.
   virtual Status Push(int clock, const SparseVector& update,
-                      const Partitioner* layout) = 0;
+                      const Partitioner& layout) = 0;
 
-  /// Whole-model pull; fills `values` and the clock floor `*cmin`.
-  virtual Status PullFull(std::vector<double>* values, int* cmin) = 0;
-
-  /// Version-aware pull (ParameterServer::PullDelta). A decoding
-  /// transport checks the partition count and encodings; PsClient checks
-  /// each piece against the layout.
+  /// Version-aware pull (ParameterServer::PullDelta); all tags
+  /// kNoCachedTag pulls the whole model. A decoding transport checks the
+  /// partition count and encodings; PsClient checks each piece against
+  /// the layout.
   virtual Status PullDelta(const std::vector<int64_t>& cached_tags,
                            DeltaPullResult* result) = 0;
 
@@ -95,10 +95,12 @@ class PsTransport {
 /// Replica cache: the client keeps a *pristine* copy of the last server
 /// state it received (the trainer mutates the replica it is handed) plus
 /// one content tag per partition. A cached pull sends the tags; each
-/// partition comes back unchanged, whole, or as a sparse delta on the
-/// cached copy. A delta whose base tag the cache no longer holds (a
-/// checkpoint restore, a retried RPC) resets that tag and re-pulls the
-/// partition whole; three mismatching attempts fail with Internal.
+/// partition comes back unchanged, whole, or as a sparse patch carrying
+/// the current values of the keys written since the cached copy. A patch
+/// whose base tag the cache no longer holds (a checkpoint restore, a
+/// retried RPC) resets that tag and re-pulls the partition whole; three
+/// mismatching attempts fail with Internal. A whole-model pull is the
+/// same request with every tag reset.
 ///
 /// Threading: one instance per worker thread. Between StartPrefetch()
 /// and FinishPrefetch() the prefetch task owns the cache, so the owner
@@ -122,9 +124,11 @@ class PsClient {
   PsClient(const PsClient&) = delete;
   PsClient& operator=(const PsClient&) = delete;
 
-  /// Pushes the local update that finishes `clock`. With a push window,
-  /// enqueues and returns — blocking only while the window is full — and
-  /// returns a latched async failure instead of enqueueing.
+  /// Pushes the local update that finishes `clock`. Fetches the layout
+  /// first, and rejects an update with a key beyond its dim as
+  /// InvalidArgument. With a push window, enqueues and returns — blocking
+  /// only while the window is full — and returns a latched async failure
+  /// instead of enqueueing.
   Status Push(int clock, const SparseVector& update);
 
   /// Drains the push window (no-op without one) and returns the latched
@@ -148,7 +152,8 @@ class PsClient {
   /// Pull through the replica cache / whole-model pull, whatever
   /// `delta_pull` says. Both drain the push window first, return a
   /// mutable copy of the server state, and set `*cmin` (may be null).
-  /// The two results are bit-identical.
+  /// The two results are bit-identical: a patch carries the server's
+  /// current values, not a difference to add.
   Status PullCached(std::vector<double>* replica, int* cmin) {
     return OwnerPull(/*cached=*/true, replica, cmin);
   }
@@ -211,7 +216,6 @@ class PsClient {
   struct PendingPush {
     int clock = 0;
     SparseVector update;
-    const Partitioner* layout = nullptr;
   };
   struct Prefetched {
     Status status;
@@ -219,19 +223,21 @@ class PsClient {
     int cmin = 0;
   };
 
-  /// Fetches the layout once (owner thread only).
+  /// Fetches the layout once (owner thread only; the sender and the
+  /// prefetch task start after it is set).
   Status EnsureLayout();
 
   /// The owner-thread pull behind Pull / PullCached / Refresh: drains,
   /// fetches, and books comm time, cp and the pull count.
   Status OwnerPull(bool cached, std::vector<double>* replica, int* cmin);
 
-  /// One pull, no drain and no admission wait. Runs on the owner thread
-  /// or the prefetch task — never both at once.
+  /// One pull through the cache, no drain and no admission wait; a
+  /// whole-model pull (`cached` false) first resets every tag. Runs on
+  /// the owner thread or the prefetch task — never both at once.
   Status Fetch(bool cached, std::vector<double>* replica, int* cmin);
 
   /// Applies a PullDelta result onto the pristine cache, checking every
-  /// piece against the layout. Sets `*tag_mismatch` when a delta's base
+  /// piece against the layout. Sets `*tag_mismatch` when a patch's base
   /// tag did not match (that partition's tag is reset for the retry).
   Status ApplyToCache(const DeltaPullResult& delta, bool* tag_mismatch);
 
@@ -256,8 +262,7 @@ class PsClient {
   int64_t pulled_bytes_full_ = 0;
   WorkerTimeBreakdown breakdown_;
 
-  /// Set once by EnsureLayout; never reset, so the sender may keep
-  /// pointers into it.
+  /// Set once by EnsureLayout; never reset, so the sender may read it.
   std::optional<PsLayout> layout_;
   /// Pristine last-received server state and its per-partition tags.
   std::vector<double> cache_;

@@ -1,6 +1,7 @@
 #include "ps/server_shard.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/logging.h"
 
@@ -20,74 +21,51 @@ ServerShard::ServerShard(int shard_id, size_t dim,
 
 void ServerShard::Push(int worker, int clock,
                        const SparseVector& local_update) {
-  if (track_deltas_ && !local_update.empty()) {
-    // The rule promises to touch only the update's support, so the exact
-    // applied delta is the before/after difference at those indices —
-    // two bulk gathers over the support on either side of the push
-    // (vector kernels on dense blocks; the scratch buffer is reused
-    // across pushes so the steady state allocates nothing).
-    const size_t nnz = local_update.nnz();
-    const int64_t* const idx = local_update.indices().data();
-    delta_scratch_.resize(nnz);
-    param_.Gather(idx, nnz, delta_scratch_.data());
-    rule_->OnPush(worker, clock, local_update, &param_);
-    std::vector<double> after(nnz);
-    param_.Gather(idx, nnz, after.data());
-    for (size_t i = 0; i < nnz; ++i) after[i] -= delta_scratch_[i];
-    SparseVector delta(std::vector<int64_t>(idx, idx + nnz),
-                       std::move(after));
-    ++push_count_;
-    ++data_version_;
-    AppendDelta(std::move(delta));
-    return;
-  }
   rule_->OnPush(worker, clock, local_update, &param_);
   ++push_count_;
   ++data_version_;
-  if (track_deltas_) {
-    // Empty update under a support-local rule: no entry changed; an
-    // explicit empty log record keeps DeltaSince's version chain
-    // contiguous without paying for storage.
-    AppendDelta(SparseVector());
-  }
+  // The rule promises to touch only the update's support, so those keys
+  // are all a reader needs to re-fetch. An empty update still logs an
+  // (empty) record to keep DeltaSince's version chain contiguous.
+  if (track_deltas_) AppendKeys(local_update.indices());
 }
 
-void ServerShard::AppendDelta(SparseVector delta) {
-  delta_log_bytes_ += delta.MemoryBytes();
-  delta_log_.push_back(LoggedDelta{data_version_, std::move(delta)});
-  // Bound by depth, and by total bytes: once the log outweighs two dense
-  // ships of the block, merging it can no longer beat a whole-block
-  // transfer, so keeping more history is pure overhead.
-  const size_t byte_cap = 2 * param_.dim() * sizeof(double) + 64;
+void ServerShard::AppendKeys(std::vector<int64_t> keys) {
+  delta_log_keys_ += keys.size();
+  delta_log_.push_back(LoggedPush{data_version_, std::move(keys)});
+  // Bound by depth, and by total keys: once the log holds more keys than
+  // the block (plus slack), a patch can no longer beat a whole-block
+  // ship, so keeping more history is pure overhead.
+  const size_t key_cap = param_.dim() + 4;
   while (delta_log_.size() > static_cast<size_t>(delta_log_depth_) ||
-         delta_log_bytes_ > byte_cap) {
-    delta_log_bytes_ -= delta_log_.front().delta.MemoryBytes();
+         delta_log_keys_ > key_cap) {
+    delta_log_keys_ -= delta_log_.front().keys.size();
     delta_log_.pop_front();
     if (delta_log_.empty()) break;
   }
 }
 
 bool ServerShard::DeltaSince(int64_t from_version,
-                             SparseVector* out) const {
-  HETPS_CHECK(out != nullptr) << "null delta output";
+                             std::vector<int64_t>* keys) const {
+  HETPS_CHECK(keys != nullptr) << "null key output";
   if (!track_deltas_) return false;
   if (from_version > data_version_) return false;  // alien tag
-  if (from_version == data_version_) {
-    *out = SparseVector();
-    return true;
-  }
+  keys->clear();
+  if (from_version == data_version_) return true;
   // The log holds consecutive versions ending at data_version_; it can
   // cover (from_version, data_version_] iff its oldest entry is
   // from_version + 1.
   if (delta_log_.empty() || delta_log_.front().version > from_version + 1) {
     return false;
   }
-  SparseVector merged;
-  for (const LoggedDelta& d : delta_log_) {
-    if (d.version <= from_version) continue;
-    merged = merged.empty() ? d.delta : SparseVector::Add(merged, d.delta);
+  std::vector<int64_t> merged;
+  for (const LoggedPush& push : delta_log_) {
+    if (push.version <= from_version) continue;
+    merged.clear();
+    std::set_union(keys->begin(), keys->end(), push.keys.begin(),
+                   push.keys.end(), std::back_inserter(merged));
+    keys->swap(merged);
   }
-  *out = std::move(merged);
   return true;
 }
 

@@ -26,11 +26,10 @@ namespace hetps {
 /// re-fetching unchanged partitions.
 ///
 /// For accumulate rules (rule().PushTouchesOnlyUpdateSupport()), the shard
-/// additionally keeps a bounded log of the *applied* per-push deltas
-/// (captured by diffing the touched entries around OnPush, O(nnz) extra).
-/// DeltaSince() merges the log into one sparse delta covering
-/// (from_version, data_version], so a pull can ship just the arithmetic
-/// difference instead of the whole block when that is smaller.
+/// additionally keeps a bounded log of the key set each push touched.
+/// DeltaSince() unions the log into the keys changed in
+/// (from_version, data_version], so a pull can ship the *current* values
+/// at just those keys instead of the whole block when that is smaller.
 class ServerShard {
  public:
   /// `rule_proto` is cloned; `dim` is the partition-local dimension.
@@ -43,8 +42,8 @@ class ServerShard {
   size_t dim() const { return param_.dim(); }
 
   /// Consolidates a partition-local update from `worker` at `clock`.
-  /// Bumps data_version() and (for accumulate rules) appends the applied
-  /// delta to the log.
+  /// Bumps data_version() and (for accumulate rules) appends the
+  /// update's key set to the log.
   void Push(int worker, int clock, const SparseVector& local_update);
 
   /// Dense snapshot of this partition, stamping the rule's pull state for
@@ -77,12 +76,12 @@ class ServerShard {
   /// pull-epoch so restored state can never alias a pre-restore tag).
   void set_data_version(int64_t v) { data_version_ = v; }
 
-  /// Merges the logged deltas covering (from_version, data_version()]
-  /// into `*out` (entries sorted, zero-sum entries retained — they are
-  /// real writes). Returns false when the log does not reach back to
-  /// `from_version` (evicted, disabled, or rule not delta-capable); the
-  /// caller must ship the whole block instead.
-  bool DeltaSince(int64_t from_version, SparseVector* out) const;
+  /// Sorted union of the keys pushed in (from_version, data_version()]
+  /// — a superset of the keys whose value changed. Returns false when
+  /// the log does not reach back to `from_version` (evicted, disabled, or
+  /// rule not delta-capable); the caller must ship the whole block
+  /// instead.
+  bool DeltaSince(int64_t from_version, std::vector<int64_t>* keys) const;
 
   /// Content bytes of a whole-block ship under the ParamBlock 50% rule:
   /// min(dense 8 B/key, sparse 16 B/nonzero). Used by the simulator's
@@ -103,7 +102,7 @@ class ServerShard {
   /// Bytes of consolidation-rule auxiliary state (multi-version updates
   /// plus the delta log).
   size_t AuxMemoryBytes() const {
-    return rule_->AuxMemoryBytes() + delta_log_bytes_;
+    return rule_->AuxMemoryBytes() + delta_log_keys_ * sizeof(int64_t);
   }
 
   /// Number of pushes consolidated so far.
@@ -116,12 +115,12 @@ class ServerShard {
   ConsolidationRule* mutable_rule() { return rule_.get(); }
 
  private:
-  struct LoggedDelta {
-    int64_t version;     // data_version_ after this push was applied
-    SparseVector delta;  // exact entry-wise change of the block
+  struct LoggedPush {
+    int64_t version;            // data_version_ after this push
+    std::vector<int64_t> keys;  // the push's sorted support
   };
 
-  void AppendDelta(SparseVector delta);
+  void AppendKeys(std::vector<int64_t> keys);
 
   int shard_id_;
   ParamBlock param_;
@@ -130,17 +129,12 @@ class ServerShard {
   int64_t data_version_ = 0;
 
   // Delta log (newest at the back). Kept only when the rule's pushes are
-  // support-local; bounded by depth and by bytes (once the log outweighs
-  // a dense ship of the block it can no longer win).
+  // support-local; bounded by depth and by total keys (once the log
+  // holds more keys than the block, a patch can no longer win).
   bool track_deltas_ = false;
   int delta_log_depth_ = 0;
-  size_t delta_log_bytes_ = 0;
-  std::deque<LoggedDelta> delta_log_;
-
-  // Reusable before-snapshot buffer for delta capture in Push() — sized
-  // to the largest update seen, so steady-state pushes allocate only the
-  // logged delta itself.
-  std::vector<double> delta_scratch_;
+  size_t delta_log_keys_ = 0;
+  std::deque<LoggedPush> delta_log_;
 };
 
 }  // namespace hetps

@@ -28,12 +28,8 @@ class InProcessTransport : public PsTransport {
     return PsLayout{ps_->partitioner(), ps_->options().sync};
   }
   Status Push(int clock, const SparseVector& update,
-              const Partitioner* /*layout*/) override {
+              const Partitioner& /*layout*/) override {
     ps_->Push(worker_, clock, update);
-    return Status::OK();
-  }
-  Status PullFull(std::vector<double>* values, int* cmin) override {
-    *values = ps_->PullFull(worker_, cmin);
     return Status::OK();
   }
   Status PullDelta(const std::vector<int64_t>& cached_tags,

@@ -52,7 +52,7 @@ struct SimOptions {
   /// Version-aware pull path (§6-style content tags): workers cache a
   /// per-partition content tag and the comm model charges only the bytes
   /// a tag-aware server would actually ship — nothing for an unchanged
-  /// partition (header only), a sparse delta or sparse block when that
+  /// partition (header only), a sparse patch or sparse block when that
   /// undercuts the dense block (ParamBlock's 50% rule), the dense block
   /// otherwise. Off = the legacy model that ships the full dense block
   /// on every pull.

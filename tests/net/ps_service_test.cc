@@ -4,6 +4,8 @@
 
 #include <chrono>
 #include <cstdio>
+#include <memory>
+#include <string>
 #include <thread>
 
 #include "core/consolidation.h"
@@ -80,10 +82,13 @@ TEST(PsServiceTest, CanAdvanceAndStableVersion) {
 
 TEST(PsServiceTest, ServerRejectsMalformedRequests) {
   RpcHarness h(1, 4);
-  // Unknown opcode.
-  {
+  // Unknown opcodes, the retired push (1) and whole-model pull (2)
+  // included.
+  for (uint8_t op : {uint8_t{250}, uint8_t{1}, uint8_t{2}}) {
+    SCOPED_TRACE(static_cast<int>(op));
     ByteWriter w;
-    w.WriteU8(250);
+    w.WriteU8(op);
+    w.WriteI64(0);
     BusReply reply = h.bus.BlockingCall("c", "ps", w.TakeBuffer(), kForever);
     ASSERT_TRUE(reply.ok());
     ByteReader r(reply.payload);
@@ -94,7 +99,7 @@ TEST(PsServiceTest, ServerRejectsMalformedRequests) {
   // Truncated push.
   {
     ByteWriter w;
-    w.WriteU8(static_cast<uint8_t>(PsOpCode::kPush));
+    w.WriteU8(static_cast<uint8_t>(PsOpCode::kPushColumnar));
     w.WriteI64(0);
     BusReply reply = h.bus.BlockingCall("c", "ps", w.TakeBuffer(), kForever);
     ASSERT_TRUE(reply.ok());
@@ -108,10 +113,16 @@ TEST(PsServiceTest, ServerRejectsMalformedRequests) {
     RpcWorkerClient bad(7, &h.bus, "ps");
     EXPECT_TRUE(bad.Push(0, SparseVector()).IsInvalidArgument());
   }
-  // Update index beyond dim.
+  // Update index beyond dim, from a fresh client and from one that has
+  // already fetched the layout with a pull.
   {
     RpcWorkerClient client(0, &h.bus, "ps");
     EXPECT_TRUE(client.Push(0, SparseVector({9}, {1.0}))
+                    .IsInvalidArgument());
+    RpcWorkerClient pulled(0, &h.bus, "ps");
+    std::vector<double> replica;
+    ASSERT_TRUE(pulled.PullCached(&replica, nullptr).ok());
+    EXPECT_TRUE(pulled.Push(0, SparseVector({9}, {1.0}))
                     .IsInvalidArgument());
   }
   // The server survives all of it.
@@ -125,12 +136,22 @@ TEST(PsServiceTest, ServiceMetricsCountRequests) {
   ASSERT_TRUE(client.Push(0, SparseVector({1}, {1.0})).ok());
   std::vector<double> replica;
   ASSERT_TRUE(client.Pull(&replica, nullptr).ok());
-  EXPECT_TRUE(client.Push(0, SparseVector({20}, {1.0}))
-                  .IsInvalidArgument());  // out of range -> error
+  {
+    // A piece index beyond its partition -> error.
+    ByteWriter w;
+    w.WriteU8(static_cast<uint8_t>(PsOpCode::kPushColumnar));
+    w.WriteI64(0);  // worker
+    w.WriteI64(1);  // clock
+    w.WriteU64(1);
+    w.WriteI64(0);
+    w.WriteSparseVector(SparseVector({20}, {1.0}));
+    ASSERT_TRUE(
+        h.bus.BlockingCall("c", "ps", w.TakeBuffer(), kForever).ok());
+  }
   h.bus.Flush();
   const std::string report = h.service.metrics().Report();
-  EXPECT_NE(report.find("rpc.push 2"), std::string::npos);
-  EXPECT_NE(report.find("rpc.pull 1"), std::string::npos);
+  EXPECT_NE(report.find("rpc.push_columnar 2"), std::string::npos);
+  EXPECT_NE(report.find("rpc.pull_delta 1"), std::string::npos);
   EXPECT_NE(report.find("rpc.errors 1"), std::string::npos);
   EXPECT_NE(report.find("ps.param_bytes"), std::string::npos);
 }
@@ -200,38 +221,69 @@ TEST(PsServiceTest, DroppedResponsesDontDoubleApplyPushes) {
 
 TEST(PsServiceTest, PullCachedMatchesPullBitForBit) {
   // The version-aware cached pull must be indistinguishable from a full
-  // pull, round after round, while shipping fewer content bytes.
-  SspRule rule;
-  PsOptions opts;
-  opts.num_servers = 2;
-  opts.partitions_per_server = 2;
-  opts.scheme = PartitionScheme::kRange;
-  opts.sync = SyncPolicy::Asp();
-  ParameterServer ps(64, 2, rule, opts);
-  MessageBus bus;
-  PsService service(&ps, &bus, "ps");
-  ASSERT_TRUE(service.status().ok());
-  RpcWorkerClient cached(0, &bus, "ps");
-  RpcWorkerClient full(1, &bus, "ps");
-
-  Rng rng(88);
-  for (int round = 0; round < 20; ++round) {
-    std::vector<int64_t> idx;
-    std::vector<double> val;
-    for (int64_t key = static_cast<int64_t>(rng.NextUint64(4)); key < 64;
-         key += 4 + static_cast<int64_t>(rng.NextUint64(20))) {
-      idx.push_back(key);
-      val.push_back(rng.NextDouble());
+  // pull, round after round, while shipping fewer content bytes. The
+  // second input has four workers pushing small values into a wider
+  // model — traffic under which a cache that adds logged differences
+  // drifts from the server in the last bits.
+  struct Traffic {
+    int64_t dim;
+    int workers;
+    int pushers;     // workers 0..pushers-1 push every round ...
+    int max_pushes;  // ... 1..max_pushes times each
+    double scale;
+    int rounds;
+    uint64_t seed;
+  };
+  for (const Traffic& t : {Traffic{64, 2, 1, 1, 1.0, 20, 88},
+                           Traffic{4000, 4, 4, 3, 0.01, 100, 4000}}) {
+    SCOPED_TRACE("dim " + std::to_string(t.dim));
+    SspRule rule;
+    PsOptions opts;
+    opts.num_servers = 2;
+    opts.partitions_per_server = 2;
+    opts.scheme = PartitionScheme::kRange;
+    opts.sync = SyncPolicy::Asp();
+    ParameterServer ps(t.dim, t.workers, rule, opts);
+    MessageBus bus;
+    PsService service(&ps, &bus, "ps");
+    ASSERT_TRUE(service.status().ok());
+    std::vector<std::unique_ptr<RpcWorkerClient>> clients;
+    for (int m = 0; m < t.workers; ++m) {
+      clients.push_back(std::make_unique<RpcWorkerClient>(m, &bus, "ps"));
     }
-    ASSERT_TRUE(cached.Push(round, SparseVector(idx, val)).ok());
-    std::vector<double> a, b;
-    int cmin_a = -1, cmin_b = -1;
-    ASSERT_TRUE(cached.PullCached(&a, &cmin_a).ok());
-    ASSERT_TRUE(full.Pull(&b, &cmin_b).ok());
-    ASSERT_EQ(a, b) << "round " << round;
-    EXPECT_EQ(cmin_a, cmin_b);
+    RpcWorkerClient& cached = *clients[0];
+    RpcWorkerClient& full = *clients[1];
+
+    Rng rng(t.seed);
+    int clock = 0;
+    for (int round = 0; round < t.rounds; ++round) {
+      for (int m = 0; m < t.pushers; ++m) {
+        const int pushes = 1 + static_cast<int>(rng.NextUint64(
+                                   static_cast<uint64_t>(t.max_pushes)));
+        for (int k = 0; k < pushes; ++k) {
+          std::vector<int64_t> idx;
+          std::vector<double> val;
+          for (int64_t key = static_cast<int64_t>(rng.NextUint64(4));
+               key < t.dim;
+               key += 4 + static_cast<int64_t>(rng.NextUint64(20))) {
+            idx.push_back(key);
+            val.push_back((rng.NextDouble() - 0.5) * t.scale);
+          }
+          ASSERT_TRUE(clients[static_cast<size_t>(m)]
+                          ->Push(clock + k, SparseVector(idx, val))
+                          .ok());
+        }
+      }
+      clock += t.max_pushes;
+      std::vector<double> a, b;
+      int cmin_a = -1, cmin_b = -1;
+      ASSERT_TRUE(cached.PullCached(&a, &cmin_a).ok());
+      ASSERT_TRUE(full.Pull(&b, &cmin_b).ok());
+      ASSERT_EQ(a, b) << "round " << round;
+      EXPECT_EQ(cmin_a, cmin_b);
+    }
+    EXPECT_LT(cached.pulled_bytes(), cached.pulled_bytes_full());
   }
-  EXPECT_LT(cached.pulled_bytes(), cached.pulled_bytes_full());
 }
 
 TEST(PsServiceTest, PullCachedSurvivesLossyBus) {

@@ -84,8 +84,8 @@ TEST(PushPipelineTest, ColumnarPushRoundtripAppliesOnce) {
             std::string::npos);
 }
 
-// Before any PullCached the client has no layout, so a pipelined push
-// falls back to the legacy global-indexed kPush frame and still works.
+// A push before any pull fetches the layout itself, so even the first
+// pipelined push ships the columnar frame — there is no other.
 TEST(PushPipelineTest, LegacyFrameFallbackBeforeLayoutHandshake) {
   PipelineHarness h(1, 8);
   RpcWorkerClient client(0, &h.bus, "ps", RpcRetryPolicy(),
@@ -98,7 +98,8 @@ TEST(PushPipelineTest, LegacyFrameFallbackBeforeLayoutHandshake) {
   EXPECT_DOUBLE_EQ(replica[6], -1.0);
   h.bus.Flush();
   const std::string report = h.service.metrics().Report();
-  EXPECT_EQ(report.find("rpc.push_columnar"), std::string::npos);
+  EXPECT_NE(report.find("rpc.layout 1"), std::string::npos);
+  EXPECT_NE(report.find("rpc.push_columnar 1"), std::string::npos);
 }
 
 std::vector<uint8_t> ColumnarFrame(const ParameterServer& ps, int worker,

@@ -207,7 +207,10 @@ TEST_F(ObsEndToEndTest, DistributedRunCarriesRpcCountersAndBreakdown) {
   const std::string json = GlobalMetrics().JsonSnapshot();
   EXPECT_NE(json.find("bus.fault.dropped_requests"), std::string::npos);
   EXPECT_NE(json.find("rpc.client_retries"), std::string::npos);
-  EXPECT_NE(json.find("rpc.handle_us{op=push}"), std::string::npos);
+  EXPECT_NE(json.find("rpc.handle_us{op=push_columnar}"), std::string::npos);
+  // The retired push and whole-model pull frames have no series.
+  EXPECT_EQ(json.find("rpc.handle_us{op=push}"), std::string::npos);
+  EXPECT_EQ(json.find("rpc.handle_us{op=pull}"), std::string::npos);
 }
 
 TEST_F(ObsEndToEndTest, LossyKillRunStitchesAllFourArtifacts) {

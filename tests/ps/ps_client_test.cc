@@ -225,6 +225,25 @@ TEST_P(PsClientTest, PullDrainsTheQueueFirst) {
   EXPECT_DOUBLE_EQ(replica[5], 8.0);
 }
 
+// A key beyond the model's dim is refused with InvalidArgument whether
+// or not the client has fetched the layout yet, synchronously and
+// through the push window — never a crash in the partition split.
+TEST_P(PsClientTest, OutOfRangePushIsRejectedBeforeAndAfterPull) {
+  Serve(8, 1, SyncPolicy::Asp());
+  for (int window : {0, 1}) {
+    SCOPED_TRACE(window);
+    auto client = Client(0, window);
+    const SparseVector bad({9}, {1.0});
+    EXPECT_TRUE(client->Push(0, bad).IsInvalidArgument());
+    std::vector<double> replica;
+    int cp = 0;
+    ASSERT_TRUE(client->PullCached(&replica, &cp).ok());
+    EXPECT_TRUE(client->Push(0, bad).IsInvalidArgument());
+    EXPECT_EQ(client->push_count(), 0);
+  }
+  EXPECT_EQ(ps().cmin(), 0);
+}
+
 // An in-process transport whose PullDelta results a test can tamper
 // with: drives the one replica-cache apply through the responses a
 // faulty or hostile wire could deliver.
@@ -254,17 +273,17 @@ PsOptions CacheOptions() {
   return opts;
 }
 
-// A delta against a base tag the cache does not hold (here: a forged
+// A patch against a base tag the cache does not hold (here: a forged
 // one whose content would poison the cache) is dropped; the client
 // resets that tag and re-pulls, ending bitwise at the server's state.
 TEST(PsClientCacheTest, BaseTagMismatchRepullsWhole) {
   SspRule rule;
   ParameterServer ps(32, 1, rule, CacheOptions());
   int forged = 0;
-  const auto forge_first_delta = [&forged](DeltaPullResult* r) {
+  const auto forge_first_patch = [&forged](DeltaPullResult* r) {
     for (PartitionPull& pp : r->partitions) {
       if (forged > 0 ||
-          pp.encoding != PartitionPull::Encoding::kSparseDelta) {
+          pp.encoding != PartitionPull::Encoding::kSparsePatch) {
         continue;
       }
       pp.base_tag += 1;
@@ -274,8 +293,8 @@ TEST(PsClientCacheTest, BaseTagMismatchRepullsWhole) {
     }
   };
   PsClient client(
-      0, std::make_unique<TamperedTransport>(&ps, forge_first_delta));
-  // Dense blocks first, so the one-key update below ships as a delta.
+      0, std::make_unique<TamperedTransport>(&ps, forge_first_patch));
+  // Dense blocks first, so the one-key update below ships as a patch.
   ASSERT_TRUE(
       client.Push(0, SparseVector::FromDense(std::vector<double>(32, 0.5),
                                              0.0))
@@ -289,7 +308,7 @@ TEST(PsClientCacheTest, BaseTagMismatchRepullsWhole) {
   EXPECT_EQ(replica, ps.Snapshot());
 }
 
-// A server that keeps answering with mismatching deltas is an error
+// A server that keeps answering with mismatching patches is an error
 // after three attempts, not an endless loop.
 TEST(PsClientCacheTest, PersistentBaseTagMismatchFails) {
   SspRule rule;
@@ -298,7 +317,7 @@ TEST(PsClientCacheTest, PersistentBaseTagMismatchFails) {
                          &ps, [](DeltaPullResult* r) {
                            for (PartitionPull& pp : r->partitions) {
                              pp.encoding =
-                                 PartitionPull::Encoding::kSparseDelta;
+                                 PartitionPull::Encoding::kSparsePatch;
                              pp.base_tag = 12345;
                              pp.dense.clear();
                            }

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -124,7 +125,7 @@ TEST(PullDeltaTest, SmallUpdateShipsAsSparseDelta) {
   ps.Push(0, 1, SparseVector({3, 9, 11}, {1.0, 1.0, 1.0}));
   const DeltaPullResult after = ps.PullDelta(0, TagsOf(warmup));
   EXPECT_EQ(after.partitions[0].encoding,
-            PartitionPull::Encoding::kSparseDelta);
+            PartitionPull::Encoding::kSparsePatch);
   EXPECT_EQ(after.partitions[0].sparse.nnz(), 3u);
   EXPECT_LT(after.bytes_shipped, 512 * 8);
 }
@@ -132,33 +133,56 @@ TEST(PullDeltaTest, SmallUpdateShipsAsSparseDelta) {
 TEST(PullCacheTest, WorkerClientReplicaMatchesFullPullUnderRandomTraffic) {
   // Bit-identical coherence: after any sequence of pushes, the cached
   // client's replica equals a cache-less full pull. Random sparse
-  // updates, multiple partitions, many rounds.
-  SspRule rule;
-  ParameterServer ps(96, 2, rule, MultiPartOptions(SyncPolicy::Asp()));
-  WorkerClient cached(0, &ps, /*delta_pull=*/true);
-  WorkerClient full(1, &ps, /*delta_pull=*/false);
-  Rng rng(321);
-  std::vector<double> a, b;
-  for (int round = 0; round < 50; ++round) {
-    const int pushes = 1 + static_cast<int>(rng.NextUint64(3));
-    for (int k = 0; k < pushes; ++k) {
-      std::vector<int64_t> idx;
-      std::vector<double> val;
-      int64_t key = static_cast<int64_t>(rng.NextUint64(8));
-      while (key < 96) {
-        idx.push_back(key);
-        val.push_back(rng.NextDouble() - 0.5);
-        key += 1 + static_cast<int64_t>(rng.NextUint64(24));
+  // updates, multiple partitions, many rounds. The later inputs have
+  // several workers pushing small values into a wider model — traffic
+  // under which a cache that adds logged differences drifts from the
+  // server in the last bits — over range and hash partitions.
+  struct Traffic {
+    int64_t dim;
+    int workers;
+    int pushers;  // workers 0..pushers-1 push every round
+    double scale;
+    int rounds;
+    uint64_t seed;
+    PartitionScheme scheme;
+  };
+  for (const Traffic& t :
+       {Traffic{96, 2, 1, 1.0, 50, 321, PartitionScheme::kRange},
+        Traffic{4000, 4, 4, 0.01, 200, 4000, PartitionScheme::kRange},
+        Traffic{4000, 4, 4, 0.01, 200, 4000, PartitionScheme::kHash}}) {
+    SCOPED_TRACE("dim " + std::to_string(t.dim) + " " +
+                 PartitionSchemeName(t.scheme));
+    SspRule rule;
+    PsOptions opts = MultiPartOptions(SyncPolicy::Asp());
+    opts.scheme = t.scheme;
+    ParameterServer ps(t.dim, t.workers, rule, opts);
+    WorkerClient cached(0, &ps, /*delta_pull=*/true);
+    WorkerClient full(1, &ps, /*delta_pull=*/false);
+    Rng rng(t.seed);
+    std::vector<double> a, b;
+    for (int round = 0; round < t.rounds; ++round) {
+      for (int m = 0; m < t.pushers; ++m) {
+        const int pushes = 1 + static_cast<int>(rng.NextUint64(3));
+        for (int k = 0; k < pushes; ++k) {
+          std::vector<int64_t> idx;
+          std::vector<double> val;
+          int64_t key = static_cast<int64_t>(rng.NextUint64(8));
+          while (key < t.dim) {
+            idx.push_back(key);
+            val.push_back((rng.NextDouble() - 0.5) * t.scale);
+            key += 1 + static_cast<int64_t>(rng.NextUint64(24));
+          }
+          ps.Push(m, round * 8 + k, SparseVector(idx, val));
+        }
       }
-      ps.Push(0, round * 8 + k, SparseVector(idx, val));
+      ASSERT_TRUE(cached.PullBlocking(0, &a).ok());
+      ASSERT_TRUE(full.PullBlocking(0, &b).ok());
+      ASSERT_EQ(a, b) << "round " << round;
     }
-    cached.PullBlocking(0, &a);
-    full.PullBlocking(0, &b);
-    ASSERT_EQ(a, b) << "round " << round;
+    // The cache actually paid off: shipped less than the full-pull cost.
+    EXPECT_LT(cached.pulled_bytes(), cached.pulled_bytes_full());
+    EXPECT_EQ(full.pulled_bytes(), full.pulled_bytes_full());
   }
-  // The cache actually paid off: shipped less than the full-pull cost.
-  EXPECT_LT(cached.pulled_bytes(), cached.pulled_bytes_full());
-  EXPECT_EQ(full.pulled_bytes(), full.pulled_bytes_full());
 }
 
 TEST(PullCacheTest, TrainerMutatingItsReplicaDoesNotPoisonTheCache) {
