@@ -270,7 +270,6 @@ int RunTrainRpc(const FlagParser& flags) {
       static_cast<int>(FlagOrExit(flags.GetInt("workers", 4)));
   opts.num_servers =
       static_cast<int>(FlagOrExit(flags.GetInt("servers", 2)));
-  opts.seed = static_cast<uint64_t>(FlagOrExit(flags.GetInt("seed", 42)));
   opts.push_window =
       static_cast<int>(FlagOrExit(flags.GetInt("push_window", 0)));
   opts.push_parallelism =
@@ -376,7 +375,6 @@ int RunTrain(const FlagParser& flags) {
       static_cast<int>(FlagOrExit(flags.GetInt("push_window", 0)));
   cfg.push_parallelism =
       static_cast<int>(FlagOrExit(flags.GetInt("push_parallelism", 1)));
-  cfg.seed = static_cast<uint64_t>(FlagOrExit(flags.GetInt("seed", 42)));
 
   std::unique_ptr<RunReporter> reporter = MakeReporter(
       flags, {{"command", "train"},

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
 
 #include "core/sgd_compute.h"
 #include "data/sharding.h"
+#include "engine/worker_loop.h"
 #include "net/ps_service.h"
 #include "net/status_gateway.h"
 #include "obs/flight_recorder.h"
@@ -201,30 +202,19 @@ Result<DistributedTrainResult> TrainDistributed(
   const int start_clock = options.resume ? options.resume_clock : 0;
   const int end_clock = start_clock + options.max_clocks;
 
-  std::vector<double> trace;           // worker-0 objective per clock
+  const size_t eval_n =
+      options.eval_sample == 0 ? dataset.size() : options.eval_sample;
+  DistributedTrainResult result;
   Status checkpoint_status;            // written only by worker 0
   std::vector<Status> worker_status(
       static_cast<size_t>(options.num_workers));
   std::vector<int64_t> worker_retries(
       static_cast<size_t>(options.num_workers), 0);
   // Per-worker slots, each written only by its own thread before join.
-  std::vector<WorkerTimeBreakdown> breakdowns(
-      static_cast<size_t>(options.num_workers));
+  result.worker_breakdown.resize(static_cast<size_t>(options.num_workers));
 
-  auto worker_body = [&](int m) {
-    using SteadyClock = std::chrono::steady_clock;
+  RunWorkerThreads(options.num_workers, [&](int m) {
     const size_t mi = static_cast<size_t>(m);
-    HistogramMetric* iter_us = GlobalMetrics().histogram(
-        "worker.iter_us", {{"worker", std::to_string(m)}});
-    // Live per-clock phase histograms: the end-of-run breakdown gauges
-    // only show totals, but the TimeSeriesRecorder needs per-window
-    // deltas to draw a straggler's wait time *diverging over time*.
-    HistogramMetric* wait_us = GlobalMetrics().histogram(
-        "worker.wait_us", {{"worker", std::to_string(m)}});
-    HistogramMetric* compute_us = GlobalMetrics().histogram(
-        "worker.compute_us", {{"worker", std::to_string(m)}});
-    TraceRecorder::Global().NameThisThread("worker-" +
-                                           std::to_string(m));
     PsClient client(
         m, std::make_unique<BusTransport>(m, &bus, "ps", options.rpc_retry),
         options.delta_pull, options.push_window);
@@ -237,121 +227,74 @@ Result<DistributedTrainResult> TrainDistributed(
     // from owned[m] at clock boundaries when the service loop moved
     // examples (failover or rebalancing).
     uint64_t seen_gen = 0;
-    const double injected_delay =
-        mi < options.injected_compute_delay.size()
-            ? options.injected_compute_delay[mi]
-            : 0.0;
-    double compute_seconds = 0.0;
-    // The worker's life: returns when it finishes, is killed by fault
-    // injection, or an RPC fails.
-    const auto run = [&]() -> Status {
-      // A (re)starting worker pulls the latest parameter from the PS.
-      std::vector<double> replica;
-      HETPS_RETURN_NOT_OK(client.Refresh(&replica));
-      for (int c = start_clock; c < end_clock; ++c) {
-        // Injected process faults (FaultPlan.fault_worker), applied just
-        // before this clock starts.
-        if (m == options.fault_plan.fault_worker &&
-            c == options.fault_plan.kill_at_clock) {
-          if (options.fault_plan.hang_seconds > 0.0) {
-            // Temporary hang: go silent for hang_seconds of virtual time.
-            // The clock only advances while other workers' requests tick
-            // the service, so this needs no wall-clock sleep. Own
-            // eviction is an exit condition — once evicted, ticks may
-            // stop (the survivors finish) and the resume time would
-            // never arrive.
-            FlightRecorder::Global().Record(
-                "fault.hang", m, c, options.fault_plan.hang_seconds);
-            const double resume_at =
-                service.LivenessNow() + options.fault_plan.hang_seconds;
-            while (service.LivenessNow() < resume_at &&
-                   !evicted[mi].load(std::memory_order_acquire)) {
-              std::this_thread::yield();
-            }
-          } else {
-            // Crash-stop: the worker simply stops sending, forever. Not
-            // an error — the run's verdict is the survivors' business.
-            HETPS_LOG(Warning) << "fault injection: killing worker " << m
-                               << " before clock " << c;
-            FlightRecorder::Global().Record("fault.kill", m, c);
-            return Status::OK();
-          }
+    WorkerLoop loop;
+    loop.first_clock = start_clock;
+    loop.end_clock = end_clock;
+    loop.compute_delay_seconds = mi < options.injected_compute_delay.size()
+                                     ? options.injected_compute_delay[mi]
+                                     : 0.0;
+    loop.on_epoch = options.on_epoch;
+    loop.compute = std::bind_front(&LocalWorkerSgd::RunClock, &sgd);
+    loop.before_clock = [&](int c) {
+      // Injected process faults (FaultPlan.fault_worker), applied just
+      // before this clock starts.
+      const FaultPlan& fault = options.fault_plan;
+      if (m == fault.fault_worker && c == fault.kill_at_clock) {
+        if (fault.hang_seconds <= 0.0) {
+          // Crash-stop: the worker simply stops sending, forever. Not an
+          // error — the run's verdict is the survivors' business.
+          HETPS_LOG(Warning) << "fault injection: killing worker " << m
+                             << " before clock " << c;
+          FlightRecorder::Global().Record("fault.kill", m, c);
+          return false;
         }
-        // Refresh the SGD shard from the owned[] entitlement when the
-        // service loop changed it (eviction failover or rebalancing) —
-        // copied at clock boundaries so a batch never changes
-        // mid-compute.
-        {
-          std::lock_guard<std::mutex> lock(failover_mu);
-          if (shard_gen[mi] != seen_gen) {
-            sgd.mutable_shard()->example_indices = owned[mi];
-            seen_gen = shard_gen[mi];
-          }
-        }
-        HETPS_TRACE_SPAN2("worker.clock", "worker", m, "clock", c);
-        const auto iter_start = SteadyClock::now();
-        SparseVector update;
-        double compute_secs = 0.0;
-        {
-          HETPS_TRACE_SPAN1("worker.compute", "worker", m);
-          const auto compute_start = SteadyClock::now();
-          if (injected_delay > 0.0) {
-            // The paper's slowdown-injection protocol: the straggler's
-            // clock really takes longer, so the timing report below and
-            // every downstream straggler decision see a genuine
-            // slowdown.
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(injected_delay));
-          }
-          sgd.RunClock(c, &replica, &update);
-          compute_secs = std::chrono::duration<double>(SteadyClock::now() -
-                                                       compute_start)
-                             .count();
-          compute_seconds += compute_secs;
-          compute_us->RecordInt(static_cast<int64_t>(compute_secs * 1e6));
-        }
-        HETPS_RETURN_NOT_OK(client.Push(c, update));
-        if (options.rebalance) {
-          // Feed the load-balancing plane this clock's measured compute
-          // time (kReportClock drives Master::ReportClockTime and the
-          // balancer's decision on the service loop).
-          HETPS_RETURN_NOT_OK(client.ReportClock(c, compute_secs));
-        }
-        if (m == 0) {
-          const size_t n = options.eval_sample == 0 ? dataset.size()
-                                                    : options.eval_sample;
-          trace.push_back(
-              dataset.ObjectiveSample(loss, replica, options.l2, n));
-          if (options.checkpoint_every_clocks > 0 &&
-              (c + 1 - start_clock) % options.checkpoint_every_clocks ==
-                  0) {
-            // Checkpointing runs beside live traffic; the PS serializes
-            // shard access internally.
-            Status st = SaveCheckpointToFile(ps, options.checkpoint_path);
-            if (!st.ok()) checkpoint_status = st;
-          }
-        }
-        const double wait_before = client.breakdown().wait_seconds;
-        const Result<bool> pulled = client.MaybePull(c, &replica);
-        HETPS_RETURN_NOT_OK(pulled.status());
-        if (pulled.value()) {
-          wait_us->RecordInt(static_cast<int64_t>(
-              (client.breakdown().wait_seconds - wait_before) * 1e6));
-        }
-        iter_us->RecordInt(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                SteadyClock::now() - iter_start)
-                .count());
-        if (m == 0 && options.on_epoch) {
-          options.on_epoch(c + 1 - start_clock);
+        // Temporary hang: go silent for hang_seconds of virtual time. The
+        // clock only advances while other workers' requests tick the
+        // service, so this needs no wall-clock sleep. Own eviction is an
+        // exit condition — once evicted, ticks may stop (the survivors
+        // finish) and the resume time would never arrive.
+        FlightRecorder::Global().Record("fault.hang", m, c, fault.hang_seconds);
+        const double resume_at = service.LivenessNow() + fault.hang_seconds;
+        while (service.LivenessNow() < resume_at &&
+               !evicted[mi].load(std::memory_order_acquire)) {
+          std::this_thread::yield();
         }
       }
-      // Drain the push pipeline: the last clocks' pushes may still be in
-      // flight, and a failure latched after the final Push would
-      // otherwise go unseen.
-      return client.Flush();
+      // Refresh the SGD shard from the owned[] entitlement when the
+      // service loop changed it (eviction failover or rebalancing) —
+      // copied at clock boundaries so a batch never changes mid-compute.
+      std::lock_guard<std::mutex> lock(failover_mu);
+      if (shard_gen[mi] != seen_gen) {
+        sgd.mutable_shard()->example_indices = owned[mi];
+        seen_gen = shard_gen[mi];
+      }
+      return true;
     };
-    Status st = run();
+    std::vector<double> replica;
+    loop.after_push = [&](int c, double compute_seconds) -> Status {
+      if (options.rebalance) {
+        // Feed the load-balancing plane this clock's measured compute
+        // time (kReportClock drives Master::ReportClockTime and the
+        // balancer's decision on the service loop).
+        HETPS_RETURN_NOT_OK(client.ReportClock(c, compute_seconds));
+      }
+      if (m != 0) return Status::OK();
+      result.objective_per_clock.push_back(
+          dataset.ObjectiveSample(loss, replica, options.l2, eval_n));
+      if (options.checkpoint_every_clocks > 0 &&
+          (c + 1 - start_clock) % options.checkpoint_every_clocks == 0) {
+        // Checkpointing runs beside live traffic; the PS serializes
+        // shard access internally.
+        Status st = SaveCheckpointToFile(ps, options.checkpoint_path);
+        if (!st.ok()) checkpoint_status = st;
+      }
+      return Status::OK();
+    };
+    // A (re)starting worker pulls the latest parameter from the PS.
+    Status st = client.Refresh(&replica);
+    if (st.ok()) {
+      st = RunWorker(loop, &client, &replica, &result.worker_breakdown[mi]);
+    }
     // An RPC rejected because *this* worker was evicted is the liveness
     // plane working as designed (e.g. a hung worker waking up after its
     // eviction), not a run failure: the run's verdict comes from the
@@ -361,16 +304,8 @@ Result<DistributedTrainResult> TrainDistributed(
       st = Status::OK();
     }
     worker_status[mi] = st;
-    breakdowns[mi] = client.breakdown();
-    breakdowns[mi].compute_seconds = compute_seconds;
     worker_retries[mi] = client.retry_count();
-  };
-
-  std::vector<std::thread> threads;
-  for (int m = 0; m < options.num_workers; ++m) {
-    threads.emplace_back(worker_body, m);
-  }
-  for (auto& t : threads) t.join();
+  });
   for (size_t m = 0; m < worker_status.size(); ++m) {
     if (!worker_status[m].ok()) {
       // Abnormal worker exit: capture the black box before the error
@@ -383,18 +318,9 @@ Result<DistributedTrainResult> TrainDistributed(
   }
   HETPS_RETURN_NOT_OK(checkpoint_status);
 
-  DistributedTrainResult result;
-  for (int m = 0; m < options.num_workers; ++m) {
-    RecordBreakdown(&GlobalMetrics(), m,
-                    breakdowns[static_cast<size_t>(m)]);
-  }
-  result.worker_breakdown = std::move(breakdowns);
   result.weights = ps.Snapshot();
-  result.objective_per_clock = std::move(trace);
-  const size_t n =
-      options.eval_sample == 0 ? dataset.size() : options.eval_sample;
   result.final_objective =
-      dataset.ObjectiveSample(loss, result.weights, options.l2, n);
+      dataset.ObjectiveSample(loss, result.weights, options.l2, eval_n);
   result.messages = bus.delivered_count();
   result.faults = bus.fault_stats();
   for (int64_t r : worker_retries) result.rpc_retries += r;

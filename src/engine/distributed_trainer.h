@@ -40,6 +40,7 @@ struct DistributedTrainerOptions {
   bool resume = false;
   int resume_clock = 0;
   size_t eval_sample = 2000;
+  /// Unused; kept while perfledger/ledger.cc sets it.
   uint64_t seed = 11;
   /// Deterministic fault injection on the bus (drops/delays/duplicates).
   /// With the default retry policy the run converges through a lossy

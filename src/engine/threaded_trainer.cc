@@ -1,12 +1,10 @@
 #include "engine/threaded_trainer.h"
 
-#include <chrono>
-#include <thread>
+#include <functional>
 
 #include "core/sgd_compute.h"
 #include "data/sharding.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "engine/worker_loop.h"
 #include "ps/parameter_server.h"
 #include "ps/worker_client.h"
 #include "util/logging.h"
@@ -42,107 +40,47 @@ ThreadedTrainResult TrainThreaded(const Dataset& dataset,
                 ShardingPolicy::kContiguous);
 
   ThreadedTrainResult result;
-  std::vector<double> trace;  // written only by worker-0 thread
+  const size_t eval_n =
+      options.eval_sample == 0 ? dataset.size() : options.eval_sample;
   // Per-worker slots, each written only by its own thread before join.
-  std::vector<WorkerTimeBreakdown> breakdowns(
-      static_cast<size_t>(options.num_workers));
+  result.worker_breakdown.resize(static_cast<size_t>(options.num_workers));
   Stopwatch watch;
 
-  auto worker_body = [&](int m) {
-    HistogramMetric* iter_us = GlobalMetrics().histogram(
-        "worker.iter_us", {{"worker", std::to_string(m)}});
+  RunWorkerThreads(options.num_workers, [&](int m) {
+    const size_t mi = static_cast<size_t>(m);
     LocalWorkerSgd::Options sgd_opts;
     sgd_opts.batch_size = LocalWorkerSgd::BatchSizeForFraction(
-        shards[static_cast<size_t>(m)].size(), options.batch_fraction);
+        shards[mi].size(), options.batch_fraction);
     sgd_opts.l2 = options.l2;
-    LocalWorkerSgd sgd(&dataset, shards[static_cast<size_t>(m)], &loss,
-                       &schedule, sgd_opts);
+    LocalWorkerSgd sgd(&dataset, shards[mi], &loss, &schedule, sgd_opts);
+    WorkerLoop loop;
+    loop.end_clock = options.max_clocks;
+    loop.compute_delay_seconds = options.worker_sleep_seconds.empty()
+                                     ? 0.0
+                                     : options.worker_sleep_seconds[mi];
+    loop.prefetch = options.prefetch;
+    loop.on_epoch = options.on_epoch;
+    loop.compute = std::bind_front(&LocalWorkerSgd::RunClock, &sgd);
     std::vector<double> replica(static_cast<size_t>(dataset.dimension()),
                                 0.0);
-    WorkerClient client(m, &ps, options.delta_pull, options.push_window);
-    const double sleep_s = options.worker_sleep_seconds.empty()
-                               ? 0.0
-                               : options.worker_sleep_seconds
-                                     [static_cast<size_t>(m)];
-    WorkerTimeBreakdown& breakdown = breakdowns[static_cast<size_t>(m)];
-    for (int c = 0; c < options.max_clocks; ++c) {
-      HETPS_TRACE_SPAN2("worker.clock", "worker", m, "clock", c);
-      const auto iter_start = std::chrono::steady_clock::now();
-      // The pull decision (Algorithm 1 line 8) depends only on state
-      // known before the clock runs, so a prefetch can overlap the
-      // admission wait and transfer with this clock's computation.
-      const bool will_pull =
-          ps.options().sync.NeedsPull(c, client.cached_cmin());
-      if (options.prefetch && will_pull) {
-        client.StartPrefetch(c + 1);
-      }
-      SparseVector update;
-      {
-        // Compute = the injected straggler sleep (emulated slow CPU)
-        // plus the real gradient work.
-        HETPS_TRACE_SPAN1("worker.compute", "worker", m);
-        const auto compute_start = std::chrono::steady_clock::now();
-        if (sleep_s > 0.0) {
-          std::this_thread::sleep_for(
-              std::chrono::duration<double>(sleep_s));
-        }
-        sgd.RunClock(c, &replica, &update);
-        breakdown.compute_seconds +=
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - compute_start)
-                .count();
-      }
-      HETPS_CHECK_OK(client.Push(c, update));
-      if (m == 0) {
-        const size_t n = options.eval_sample == 0 ? dataset.size()
-                                                  : options.eval_sample;
-        trace.push_back(
-            dataset.ObjectiveSample(loss, replica, options.l2, n));
-      }
-      if (options.prefetch) {
-        if (will_pull) {
-          HETPS_CHECK_OK(client.FinishPrefetch(&replica).status());
-        }
-      } else {
-        HETPS_CHECK_OK(client.MaybePull(c, &replica).status());
-      }
-      iter_us->RecordInt(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - iter_start)
-              .count());
-      if (m == 0 && options.on_epoch) options.on_epoch(c + 1);
+    if (m == 0) {
+      loop.after_push = [&](int, double) {
+        result.objective_per_clock.push_back(
+            dataset.ObjectiveSample(loss, replica, options.l2, eval_n));
+        return Status::OK();
+      };
     }
-    // Drain the push pipeline before reading the breakdown: the last
-    // clocks' pushes may still be in flight, and push_hidden_seconds is
-    // finalized by the drain.
-    HETPS_CHECK_OK(client.Flush());
-    // The client's comm/wait split plus the compute tracked above.
-    const double compute_seconds = breakdown.compute_seconds;
-    breakdown = client.breakdown();
-    breakdown.compute_seconds = compute_seconds;
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(options.num_workers));
-  for (int m = 0; m < options.num_workers; ++m) {
-    threads.emplace_back(worker_body, m);
-  }
-  for (auto& t : threads) t.join();
+    WorkerClient client(m, &ps, options.delta_pull, options.push_window);
+    HETPS_CHECK_OK(
+        RunWorker(loop, &client, &replica, &result.worker_breakdown[mi]));
+  });
 
   result.wall_seconds = watch.ElapsedSeconds();
-  for (int m = 0; m < options.num_workers; ++m) {
-    RecordBreakdown(&GlobalMetrics(), m,
-                    breakdowns[static_cast<size_t>(m)]);
-  }
-  result.worker_breakdown = std::move(breakdowns);
   result.weights = ps.Snapshot();
-  result.objective_per_clock = std::move(trace);
   result.total_pushes =
       static_cast<int64_t>(options.num_workers) * options.max_clocks;
-  const size_t n =
-      options.eval_sample == 0 ? dataset.size() : options.eval_sample;
   result.final_objective =
-      dataset.ObjectiveSample(loss, result.weights, options.l2, n);
+      dataset.ObjectiveSample(loss, result.weights, options.l2, eval_n);
   return result;
 }
 

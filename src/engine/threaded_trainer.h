@@ -54,6 +54,7 @@ struct ThreadedTrainerOptions {
   /// Threads applying a push's partition pieces server-side (see
   /// PsOptions::push_parallelism): 1 = serial (default), 0 = auto.
   int push_parallelism = 1;
+  /// Unused; kept while perfledger/ledger.cc sets it.
   uint64_t seed = 11;
   /// Called on worker 0's thread after each of its clocks finishes
   /// (argument: the 1-based clock count). RunReporter::OnEpoch hooks in

@@ -2,10 +2,10 @@
 
 #include <cmath>
 #include <limits>
-#include <thread>
 
 #include "core/consolidation.h"
 #include "data/sharding.h"
+#include "engine/worker_loop.h"
 #include "ps/parameter_server.h"
 #include "ps/worker_client.h"
 #include "util/logging.h"
@@ -131,53 +131,43 @@ Result<KMeansModel> TrainKMeans(const Dataset& dataset,
       SplitData(dataset.size(), static_cast<size_t>(config.num_workers),
                 ShardingPolicy::kContiguous);
 
-  auto worker_body = [&](int m) {
+  RunWorkerThreads(config.num_workers, [&](int m) {
+    const auto& indices = shards[static_cast<size_t>(m)].example_indices;
+    std::vector<double> delta(static_cast<size_t>(total_dim), 0.0);
+    // Clock 0 was consumed by the priming push for worker 0's clock
+    // accounting; everyone starts at clock 1.
+    WorkerLoop loop;
+    loop.first_clock = 1;
+    loop.end_clock = config.max_clocks + 1;
+    loop.compute = [&](int, std::vector<double>* params,
+                       SparseVector* update) {
+      std::vector<double>& replica = *params;
+      std::fill(delta.begin(), delta.end(), 0.0);
+      for (size_t i : indices) {
+        const SparseVector& x = dataset.example(i).features;
+        const int cc = NearestCentroid(x, replica, config.k, dim);
+        const size_t off = static_cast<size_t>(cc) * dim;
+        // Online k-means SGD step: c += eta (x - c), applied locally and
+        // accumulated for the push.
+        for (size_t j = 0; j < dim; ++j) {
+          const double step = config.learning_rate * (0.0 - replica[off + j]);
+          replica[off + j] += step;
+          delta[off + j] += step;
+        }
+        for (size_t k = 0; k < x.nnz(); ++k) {
+          const size_t j = static_cast<size_t>(x.index(k));
+          const double step = config.learning_rate * x.value(k);
+          replica[off + j] += step;
+          delta[off + j] += step;
+        }
+      }
+      *update = SparseVector::FromDense(delta, 0.0);
+    };
     WorkerClient client(m, &ps);
     std::vector<double> replica(static_cast<size_t>(total_dim), 0.0);
     HETPS_CHECK_OK(client.PullBlocking(0, &replica));
-    const auto& indices = shards[static_cast<size_t>(m)].example_indices;
-    const size_t batch = std::max<size_t>(
-        1, static_cast<size_t>(config.batch_fraction *
-                               static_cast<double>(indices.size())));
-    // Clock 0 was consumed by the priming push for worker 0's clock
-    // accounting; everyone starts at clock 1.
-    for (int c = 1; c <= config.max_clocks; ++c) {
-      std::vector<double> update(static_cast<size_t>(total_dim), 0.0);
-      size_t pos = 0;
-      while (pos < indices.size()) {
-        const size_t end = std::min(pos + batch, indices.size());
-        for (size_t i = pos; i < end; ++i) {
-          const SparseVector& x =
-              dataset.example(indices[i]).features;
-          const int cc = NearestCentroid(x, replica, config.k, dim);
-          const size_t off = static_cast<size_t>(cc) * dim;
-          // Mini-batch k-means SGD step: c += eta (x - c), applied
-          // locally and accumulated for the push.
-          for (size_t j = 0; j < dim; ++j) {
-            const double delta =
-                config.learning_rate * (0.0 - replica[off + j]);
-            replica[off + j] += delta;
-            update[off + j] += delta;
-          }
-          for (size_t i2 = 0; i2 < x.nnz(); ++i2) {
-            const size_t j = static_cast<size_t>(x.index(i2));
-            const double delta = config.learning_rate * x.value(i2);
-            replica[off + j] += delta;
-            update[off + j] += delta;
-          }
-        }
-        pos = end;
-      }
-      HETPS_CHECK_OK(client.Push(c, SparseVector::FromDense(update, 0.0)));
-      HETPS_CHECK_OK(client.MaybePull(c, &replica).status());
-    }
-  };
-
-  std::vector<std::thread> threads;
-  for (int m = 0; m < config.num_workers; ++m) {
-    threads.emplace_back(worker_body, m);
-  }
-  for (auto& t : threads) t.join();
+    HETPS_CHECK_OK(RunWorker(loop, &client, &replica, nullptr));
+  });
 
   KMeansModel model;
   model.k = config.k;

@@ -10,7 +10,7 @@
 
 namespace hetps {
 
-/// Distributed mini-batch k-means on the parameter server — one of the
+/// Distributed SGD k-means on the parameter server — one of the
 /// prototype's "ready-to-run algorithms" (Appendix D) and a demonstration
 /// that the PS API generalizes beyond linear models: the parameter is the
 /// flattened k×dim centroid matrix; each worker pushes SGD-style centroid
@@ -21,7 +21,6 @@ struct KMeansConfig {
   int num_workers = 2;
   int num_servers = 1;
   int max_clocks = 10;
-  double batch_fraction = 0.2;
   SyncPolicy sync = SyncPolicy::Ssp(2);
   /// Consolidation rule name ("ssp" | "con" | "dyn").
   std::string rule = "dyn";

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <thread>
 
 #include "core/consolidation.h"
 #include "data/sharding.h"
+#include "engine/worker_loop.h"
 #include "ps/parameter_server.h"
 #include "ps/worker_client.h"
 #include "util/logging.h"
@@ -116,9 +116,8 @@ Result<LdaModel> TrainLda(const Corpus& corpus, const LdaConfig& config) {
     worker_rngs.push_back(master_rng.Fork(static_cast<uint64_t>(m)));
   }
 
-  auto worker_body = [&](int m) {
+  RunWorkerThreads(config.num_workers, [&](int m) {
     Rng& rng = worker_rngs[static_cast<size_t>(m)];
-    WorkerClient client(m, &ps);
     const auto& docs = shards[static_cast<size_t>(m)].example_indices;
 
     // Local Gibbs state: token assignments and doc-topic counts.
@@ -126,26 +125,15 @@ Result<LdaModel> TrainLda(const Corpus& corpus, const LdaConfig& config) {
     std::vector<std::vector<double>> ndt(
         docs.size(), std::vector<double>(static_cast<size_t>(K), 0.0));
     std::vector<double> delta(static_cast<size_t>(total_dim), 0.0);
-
-    // Clock 0: random initialization, pushed as the first update.
-    for (size_t di = 0; di < docs.size(); ++di) {
-      const auto& words = corpus.document(docs[di]);
-      z[di].resize(words.size());
-      for (size_t i = 0; i < words.size(); ++i) {
-        const int t = static_cast<int>(
-            rng.NextUint64(static_cast<uint64_t>(K)));
-        z[di][i] = t;
-        ndt[di][static_cast<size_t>(t)] += 1.0;
-        delta[static_cast<size_t>(t) * V + words[i]] += 1.0;
-        delta[static_cast<size_t>(K) * V + t] += 1.0;
-      }
-    }
-    HETPS_CHECK_OK(client.Push(0, SparseVector::FromDense(delta, 0.0)));
-    std::vector<double> replica(static_cast<size_t>(total_dim), 0.0);
-    HETPS_CHECK_OK(client.PullBlocking(1, &replica));
-
     std::vector<double> weights(static_cast<size_t>(K), 0.0);
-    for (int c = 1; c <= config.max_clocks; ++c) {
+
+    // One collapsed Gibbs sweep over the shard per clock.
+    WorkerLoop loop;
+    loop.first_clock = 1;
+    loop.end_clock = config.max_clocks + 1;
+    loop.compute = [&](int, std::vector<double>* params,
+                       SparseVector* update) {
+      std::vector<double>& replica = *params;
       std::fill(delta.begin(), delta.end(), 0.0);
       for (size_t di = 0; di < docs.size(); ++di) {
         const auto& words = corpus.document(docs[di]);
@@ -162,10 +150,10 @@ Result<LdaModel> TrainLda(const Corpus& corpus, const LdaConfig& config) {
           // replica counts can be transiently negative; clamp at 0.
           double total = 0.0;
           for (int t = 0; t < K; ++t) {
-            const double nwt = std::max(
-                0.0, replica[static_cast<size_t>(t) * V + w]);
-            const double nt = std::max(
-                0.0, replica[static_cast<size_t>(K) * V + t]);
+            const double nwt =
+                std::max(0.0, replica[static_cast<size_t>(t) * V + w]);
+            const double nt =
+                std::max(0.0, replica[static_cast<size_t>(K) * V + t]);
             weights[static_cast<size_t>(t)] =
                 (ndt[di][static_cast<size_t>(t)] + config.alpha) *
                 (nwt + config.beta) / (nt + config.beta * V);
@@ -188,16 +176,28 @@ Result<LdaModel> TrainLda(const Corpus& corpus, const LdaConfig& config) {
           delta[static_cast<size_t>(K) * V + new_t] += 1.0;
         }
       }
-      HETPS_CHECK_OK(client.Push(c, SparseVector::FromDense(delta, 0.0)));
-      HETPS_CHECK_OK(client.MaybePull(c, &replica).status());
-    }
-  };
+      *update = SparseVector::FromDense(delta, 0.0);
+    };
 
-  std::vector<std::thread> threads;
-  for (int m = 0; m < config.num_workers; ++m) {
-    threads.emplace_back(worker_body, m);
-  }
-  for (auto& t : threads) t.join();
+    // Clock 0: random initialization, pushed as the first update.
+    for (size_t di = 0; di < docs.size(); ++di) {
+      const auto& words = corpus.document(docs[di]);
+      z[di].resize(words.size());
+      for (size_t i = 0; i < words.size(); ++i) {
+        const int t = static_cast<int>(
+            rng.NextUint64(static_cast<uint64_t>(K)));
+        z[di][i] = t;
+        ndt[di][static_cast<size_t>(t)] += 1.0;
+        delta[static_cast<size_t>(t) * V + words[i]] += 1.0;
+        delta[static_cast<size_t>(K) * V + t] += 1.0;
+      }
+    }
+    WorkerClient client(m, &ps);
+    HETPS_CHECK_OK(client.Push(0, SparseVector::FromDense(delta, 0.0)));
+    std::vector<double> replica(static_cast<size_t>(total_dim), 0.0);
+    HETPS_CHECK_OK(client.PullBlocking(1, &replica));
+    HETPS_CHECK_OK(RunWorker(loop, &client, &replica, nullptr));
+  });
 
   LdaModel model;
   model.num_topics = K;

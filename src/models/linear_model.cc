@@ -70,7 +70,6 @@ Result<LinearModel> LinearModel::Train(const Dataset& dataset,
   options.update_filter_epsilon = config.update_filter_epsilon;
   options.push_window = config.push_window;
   options.push_parallelism = config.push_parallelism;
-  options.seed = config.seed;
   options.on_epoch = config.on_epoch;
 
   ThreadedTrainResult stats =

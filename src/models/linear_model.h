@@ -45,7 +45,6 @@ struct LinearModelConfig {
   /// Server-side shard-parallel push apply: 1 = serial, 0 = auto (see
   /// PsOptions::push_parallelism).
   int push_parallelism = 1;
-  uint64_t seed = 1;
   /// Forwarded to ThreadedTrainerOptions::on_epoch — worker 0's per-clock
   /// hook (RunReporter::OnEpoch plugs in here for periodic metric dumps).
   std::function<void(int)> on_epoch;

@@ -1,10 +1,10 @@
 #include "models/matrix_factorization.h"
 
 #include <cmath>
-#include <thread>
 
 #include "core/consolidation.h"
 #include "data/sharding.h"
+#include "engine/worker_loop.h"
 #include "ps/parameter_server.h"
 #include "ps/worker_client.h"
 #include "util/logging.h"
@@ -135,55 +135,43 @@ Result<MatrixFactorizationModel> TrainMatrixFactorization(
       SplitData(dataset.size(), static_cast<size_t>(config.num_workers),
                 ShardingPolicy::kContiguous);
 
-  auto worker_body = [&](int m) {
+  RunWorkerThreads(config.num_workers, [&](int m) {
+    const auto& indices = shards[static_cast<size_t>(m)].example_indices;
+    std::vector<double> delta(static_cast<size_t>(total_dim), 0.0);
+    WorkerLoop loop;
+    loop.first_clock = 1;
+    loop.end_clock = config.max_clocks + 1;
+    loop.compute = [&](int, std::vector<double>* params,
+                       SparseVector* update) {
+      std::vector<double>& replica = *params;
+      std::fill(delta.begin(), delta.end(), 0.0);
+      for (size_t i : indices) {
+        const Rating& r = dataset.rating(i);
+        const size_t po = static_cast<size_t>(r.user) * rank;
+        const size_t qo = user_dim + static_cast<size_t>(r.item) * rank;
+        double dot = 0.0;
+        for (int f = 0; f < rank; ++f) {
+          dot += replica[po + f] * replica[qo + f];
+        }
+        const double e = r.value - dot;
+        for (int f = 0; f < rank; ++f) {
+          const double p = replica[po + f];
+          const double q = replica[qo + f];
+          const double dp = config.learning_rate * (e * q - config.l2 * p);
+          const double dq = config.learning_rate * (e * p - config.l2 * q);
+          replica[po + f] += dp;
+          replica[qo + f] += dq;
+          delta[po + f] += dp;
+          delta[qo + f] += dq;
+        }
+      }
+      *update = SparseVector::FromDense(delta, 0.0);
+    };
     WorkerClient client(m, &ps);
     std::vector<double> replica(static_cast<size_t>(total_dim), 0.0);
     HETPS_CHECK_OK(client.PullBlocking(0, &replica));
-    const auto& indices = shards[static_cast<size_t>(m)].example_indices;
-    const size_t batch = std::max<size_t>(
-        1, static_cast<size_t>(config.batch_fraction *
-                               static_cast<double>(indices.size())));
-    std::vector<double> update(static_cast<size_t>(total_dim), 0.0);
-    for (int c = 1; c <= config.max_clocks; ++c) {
-      std::fill(update.begin(), update.end(), 0.0);
-      size_t pos = 0;
-      while (pos < indices.size()) {
-        const size_t end = std::min(pos + batch, indices.size());
-        for (size_t i = pos; i < end; ++i) {
-          const Rating& r = dataset.rating(indices[i]);
-          const size_t po = static_cast<size_t>(r.user) * rank;
-          const size_t qo =
-              user_dim + static_cast<size_t>(r.item) * rank;
-          double dot = 0.0;
-          for (int f = 0; f < rank; ++f) {
-            dot += replica[po + f] * replica[qo + f];
-          }
-          const double e = r.value - dot;
-          for (int f = 0; f < rank; ++f) {
-            const double p = replica[po + f];
-            const double q = replica[qo + f];
-            const double dp =
-                config.learning_rate * (e * q - config.l2 * p);
-            const double dq =
-                config.learning_rate * (e * p - config.l2 * q);
-            replica[po + f] += dp;
-            replica[qo + f] += dq;
-            update[po + f] += dp;
-            update[qo + f] += dq;
-          }
-        }
-        pos = end;
-      }
-      HETPS_CHECK_OK(client.Push(c, SparseVector::FromDense(update, 0.0)));
-      HETPS_CHECK_OK(client.MaybePull(c, &replica).status());
-    }
-  };
-
-  std::vector<std::thread> threads;
-  for (int m = 0; m < config.num_workers; ++m) {
-    threads.emplace_back(worker_body, m);
-  }
-  for (auto& t : threads) t.join();
+    HETPS_CHECK_OK(RunWorker(loop, &client, &replica, nullptr));
+  });
 
   MatrixFactorizationModel model;
   model.rank = rank;

@@ -65,7 +65,6 @@ struct MatrixFactorizationConfig {
   int num_workers = 2;
   int num_servers = 2;
   int max_clocks = 15;
-  double batch_fraction = 0.1;
   SyncPolicy sync = SyncPolicy::Ssp(2);
   /// Consolidation rule name ("ssp" | "con" | "dyn").
   std::string rule = "dyn";

@@ -162,9 +162,14 @@ Status PsClient::EnsureLayout() {
   return Status::OK();
 }
 
-Result<bool> PsClient::MaybePull(int clock, std::vector<double>* replica) {
+Result<bool> PsClient::NeedsPull(int clock) {
   HETPS_RETURN_NOT_OK(EnsureLayout());
-  if (!layout_->sync.NeedsPull(clock, cached_cmin_)) return false;
+  return layout_->sync.NeedsPull(clock, cached_cmin_);
+}
+
+Result<bool> PsClient::MaybePull(int clock, std::vector<double>* replica) {
+  const Result<bool> due = NeedsPull(clock);
+  if (!due.ok() || !due.value()) return due;
   HETPS_RETURN_NOT_OK(PullBlocking(clock + 1, replica));
   return true;
 }

@@ -135,9 +135,12 @@ class PsClient {
   /// async-push error, if any. Refreshes breakdown().push_hidden_seconds.
   Status Flush();
 
-  /// Algorithm 1 lines 8-9: if the cached cmin forces a pull before
-  /// starting `clock + 1`, waits for admission, refreshes `*replica` and
-  /// returns true; otherwise returns false.
+  /// Algorithm 1 line 8: whether the cached cmin forces a pull before
+  /// starting `clock + 1`.
+  Result<bool> NeedsPull(int clock);
+
+  /// Algorithm 1 lines 8-9: if NeedsPull(clock), waits for admission,
+  /// refreshes `*replica` and returns true; otherwise returns false.
   Result<bool> MaybePull(int clock, std::vector<double>* replica);
 
   /// Waits for admission to `next_clock`, then Refresh().
@@ -189,6 +192,7 @@ class PsClient {
   /// expected) and clears the latched error first.
   Status Readmit(int clock);
 
+  int worker_id() const { return worker_id_; }
   /// cp — the cmin returned by the last pull.
   int cached_cmin() const { return cached_cmin_; }
 
@@ -209,7 +213,7 @@ class PsClient {
   /// Where this worker's PS-facing time went: pushes, pulls and drains
   /// are comm, admission waits (and FinishPrefetch blocks) are wait, and
   /// push_hidden_seconds is push time the window overlapped with compute.
-  /// compute_seconds stays 0 — the trainer owns compute.
+  /// compute_seconds stays 0 — RunWorker adds compute.
   const WorkerTimeBreakdown& breakdown() const { return breakdown_; }
 
  private:

@@ -159,6 +159,10 @@ struct SimResult {
   /// First worker-0 clock at which the objective was <= tolerance; -1 if
   /// never.
   int clocks_to_converge = -1;
+  /// Worker 0's last clock-boundary objective, taken on the global
+  /// parameter *before* that clock's push lands, so it omits the final
+  /// pushes (both trainers evaluate the final snapshot). The last
+  /// periodic evaluation when clock objectives are off.
   double final_objective = 0.0;
 
   size_t param_memory_bytes = 0;

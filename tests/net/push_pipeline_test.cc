@@ -24,6 +24,8 @@
 #include "net/ps_service.h"
 #include "net/serializer.h"
 #include "obs/metrics.h"
+#include "sim/cluster_config.h"
+#include "sim/event_sim.h"
 #include "util/rng.h"
 
 namespace hetps {
@@ -393,10 +395,15 @@ TEST(PushPipelineTest, SingleWorkerWindowOneIsBitwiseIdentical) {
 }
 
 // The cross-runtime differential: with one worker the threaded runtime
-// (in-process transport) and the distributed runtime (bus transport,
-// synchronous and pipelined) schedule every push and pull at the same
-// point, so each consolidation rule trains to bitwise-identical weights
-// and the same final objective.
+// (in-process transport), the distributed runtime (bus transport,
+// synchronous and pipelined) and the event simulator (synchronous
+// pushes, its own event-driven loop) schedule every push and pull at
+// the same point. So for each consolidation rule the trainers reach
+// bitwise-identical weights and final objective, and the simulator the
+// same objective bit for bit. The simulator's clock-c objective is taken
+// on the global model before clock c's push lands, so its clock-30 entry
+// (a 31-clock run) is the model after 30 pushes, as the trainers' final
+// objective is.
 TEST(PushPipelineTest, SingleWorkerRuntimesAreBitwiseIdentical) {
   Dataset d = GenerateSynthetic(CtrLikeConfig(0.25, 61));
   Rng rng(62);
@@ -437,6 +444,19 @@ TEST(PushPipelineTest, SingleWorkerRuntimesAreBitwiseIdentical) {
       EXPECT_EQ(distributed.value().final_objective,
                 threaded.final_objective);
     }
+    SimOptions sopts;
+    sopts.sync = topts.sync;
+    sopts.max_clocks = topts.max_clocks + 1;
+    sopts.stop_on_convergence = false;
+    sopts.eval_sample = topts.eval_sample;
+    sopts.partitions_per_server = 1;
+    sopts.push_window = 0;
+    const SimResult sim =
+        RunSimulation(d, ClusterConfig::Homogeneous(1, topts.num_servers),
+                      *rule, sched, loss, sopts);
+    ASSERT_EQ(sim.objective_per_clock.size(),
+              static_cast<size_t>(sopts.max_clocks));
+    EXPECT_EQ(sim.objective_per_clock.back(), threaded.final_objective);
   }
 }
 

@@ -129,6 +129,20 @@ TEST_F(ObsEndToEndTest, ThreadedRunEmitsGoldenArtifacts) {
   EXPECT_GT(r.worker_breakdown[0].compute_seconds, 0.0);
   ASSERT_TRUE(reporter.WriteFinal().ok());
   CheckArtifacts("threaded");
+
+  // The per-clock phase histograms `inspect` reads: compute on every
+  // clock of every worker, wait on the clocks that pulled.
+  auto doc = ParseJson(Slurp(metrics_path_));
+  ASSERT_TRUE(doc.ok());
+  const JsonValue* hists = doc.value().Find("metrics")->Find("histograms");
+  ASSERT_NE(hists, nullptr);
+  int wait_series = 0;
+  for (int m = 0; m < 3; ++m) {
+    const std::string label = "{worker=" + std::to_string(m) + "}";
+    EXPECT_NE(hists->Find("worker.compute_us" + label), nullptr) << m;
+    if (hists->Find("worker.wait_us" + label) != nullptr) ++wait_series;
+  }
+  EXPECT_GE(wait_series, 1);
 }
 
 TEST_F(ObsEndToEndTest, SimulatedRunEmitsGoldenArtifactsInVirtualTime) {
