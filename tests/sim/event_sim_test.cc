@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
+
 #include "core/consolidation.h"
 #include "core/dyn_sgd.h"
 #include "core/learning_rate.h"
@@ -45,6 +49,81 @@ TEST(EventSimTest, RunsToMaxClocksAndRecordsCurve) {
   EXPECT_EQ(r.total_pushes, 4 * 12);
   EXPECT_GT(r.total_sim_seconds, 0.0);
   EXPECT_GT(r.min_objective, 0.0);
+}
+
+/// FNV-1a over the bit patterns of the per-clock objectives and the
+/// shipped pull bytes: any drift in the last bit changes the hash.
+uint64_t HashRun(const SimResult& r) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](uint64_t bits) {
+    h ^= bits;
+    h *= 0x100000001b3ULL;
+  };
+  for (double v : r.objective_per_clock) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    mix(bits);
+  }
+  mix(static_cast<uint64_t>(r.pull_bytes_shipped));
+  return h;
+}
+
+// Bitwise golden of the simulator's read and write paths: 4 workers
+// with a straggler, delta pulls on and off, range-hash and hash
+// partitions, ConSGD and deferred DynSGD under partition sync. A change
+// to how the simulator reads, sizes or applies partition pieces shows
+// up here as a different objective curve or byte count.
+TEST(EventSimTest, GoldenCurvesAcrossPullModesAndSchemes) {
+  struct Case {
+    bool dyn;
+    bool delta_pull;
+    PartitionScheme scheme;
+    uint64_t golden;
+  };
+  const Case cases[] = {
+      {false, true, PartitionScheme::kRangeHash, 0x88c8a03880747348ULL},
+      {false, false, PartitionScheme::kRangeHash, 0x40e72b5a2714eea5ULL},
+      {false, true, PartitionScheme::kHash, 0x3774dda428a81bd8ULL},
+      {false, false, PartitionScheme::kHash, 0x6ea0131a4421c79dULL},
+      {true, true, PartitionScheme::kRangeHash, 0x3625c3f06c1a6ea0ULL},
+      {true, false, PartitionScheme::kRangeHash, 0x03298bbfb7c9e60cULL},
+      {true, true, PartitionScheme::kHash, 0x3b780afe35f6bcb0ULL},
+      {true, false, PartitionScheme::kHash, 0x55b57a43fb8e5ceeULL},
+  };
+  // A wide model with uniform feature popularity, so the cached runs see
+  // unchanged partitions, patches and sparse blocks, not only dense ones
+  // (ASP lets fast workers pull while the straggler's keys stay clean).
+  SyntheticConfig cfg;
+  cfg.num_examples = 300;
+  cfg.num_features = 40000;
+  cfg.avg_nnz = 8;
+  cfg.seed = 33;
+  cfg.feature_skew = 0.0;
+  const Dataset d = GenerateSynthetic(cfg);
+  const ClusterConfig cluster = ClusterConfig::WithStragglers(4, 2, 2.0);
+  FixedRate sched(0.5);
+  LogisticLoss loss;
+  DynSgdRule::Options dyn_opts;
+  dyn_opts.mode = DynSgdRule::ApplyMode::kDeferred;
+  const DynSgdRule dyn(dyn_opts);
+  const ConRule con;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.dyn ? "dyn" : "con") +
+                 (c.delta_pull ? " delta " : " full ") +
+                 PartitionSchemeName(c.scheme));
+    SimOptions opts = FastOptions();
+    opts.delta_pull = c.delta_pull;
+    opts.scheme = c.scheme;
+    opts.partitions_per_server = 2;
+    opts.partition_sync = c.dyn;
+    opts.sync = SyncPolicy::Asp();
+    opts.l2 = 0.0;  // keeps updates sparse, so patches can win
+    const ConsolidationRule& rule =
+        c.dyn ? static_cast<const ConsolidationRule&>(dyn) : con;
+    const SimResult r = RunSimulation(d, cluster, rule, sched, loss, opts);
+    ASSERT_EQ(r.objective_per_clock.size(), 12u);
+    EXPECT_EQ(HashRun(r), c.golden) << std::hex << "0x" << HashRun(r);
+  }
 }
 
 TEST(EventSimTest, DeterministicForSameSeed) {
