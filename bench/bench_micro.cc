@@ -145,13 +145,15 @@ void BM_PsPushPull(benchmark::State& state) {
   opts.num_servers = 4;
   ParameterServer ps(dim, 4, rule, opts);
   SparseVector u = RandomSparse(dim, 256, 11);
+  const std::vector<int64_t> cold(static_cast<size_t>(ps.num_partitions()),
+                                  kNoCachedTag);
   int clock = 0;
   for (auto _ : state) {
     const int worker = clock % 4;
     ps.Push(worker, clock / 4, u);
     if (clock % 4 == 3) {
-      auto w = ps.PullFull(worker);
-      benchmark::DoNotOptimize(w.data());
+      const DeltaPullResult w = ps.PullDelta(worker, cold);
+      benchmark::DoNotOptimize(w.partitions.data());
     }
     ++clock;
   }

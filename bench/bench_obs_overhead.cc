@@ -194,7 +194,7 @@ double TimeSeriesSnapshotNs(int iters) {
     reg.histogram("worker.staleness", {{"worker", w}})->RecordInt(m % 4);
   }
   for (int p = 0; p < 16; ++p) {
-    reg.histogram("ps.push_piece_us", {{"partition", std::to_string(p)}})
+    reg.histogram("ps.push_apply_us", {{"partition", std::to_string(p)}})
         ->RecordInt(50 + p);
   }
   reg.gauge("ps.blocked_workers")->Set(1);

@@ -31,6 +31,25 @@ Status ConsolidationRule::SaveState(std::ostream& os) const {
   return os ? Status::OK() : Status::IOError("checkpoint write failed");
 }
 
+Status ReadCheckpointEntries(std::istream& is, size_t nnz, size_t dim,
+                             SparseVector* out) {
+  *out = SparseVector();
+  for (size_t i = 0; i < nnz; ++i) {
+    int64_t idx = 0;
+    double value = 0.0;
+    if (!(is >> idx >> value)) {
+      return Status::IOError("truncated checkpoint entries");
+    }
+    if (idx < 0 || static_cast<uint64_t>(idx) >= dim ||
+        (i > 0 && idx <= out->index(i - 1))) {
+      return Status::IOError("checkpoint entry index " + std::to_string(idx) +
+                             " is out of order or out of range");
+    }
+    out->PushBack(idx, value);
+  }
+  return Status::OK();
+}
+
 Status ConsolidationRule::LoadState(std::istream& is) {
   std::string tag;
   if (!(is >> tag) || tag != "stateless") {

@@ -162,6 +162,13 @@ class ConRule final : public ConsolidationRule {
 std::unique_ptr<ConsolidationRule> MakeConsolidationRule(
     const std::string& name);
 
+/// Reads the `nnz` "index value" pairs of a checkpointed sparse block
+/// into `out`. A checkpoint is untrusted input: a truncated list, or an
+/// index that is not strictly increasing or not below `dim`, is IOError
+/// (never a CHECK failure in the block that would receive it).
+Status ReadCheckpointEntries(std::istream& is, size_t nnz, size_t dim,
+                             SparseVector* out);
+
 }  // namespace hetps
 
 #endif  // HETPS_CORE_CONSOLIDATION_H_

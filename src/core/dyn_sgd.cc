@@ -227,13 +227,10 @@ Status DynSgdRule::LoadState(std::istream& is) {
     VersionEntry entry(dim_);
     entry.staleness = staleness;
     SparseVector sv;
-    for (size_t i = 0; i < nnz; ++i) {
-      int64_t idx = 0;
-      double value = 0.0;
-      if (!(is >> idx >> value)) {
-        return Status::IOError("truncated dyn-state (version entries)");
-      }
-      sv.PushBack(idx, value);
+    const Status entries = ReadCheckpointEntries(is, nnz, dim_, &sv);
+    if (!entries.ok()) {
+      return Status::IOError("dyn-state version " + std::to_string(v) +
+                             ": " + entries.message());
     }
     entry.summary.Add(sv);
     versions_.emplace(v, std::move(entry));

@@ -65,23 +65,23 @@ Result<DistributedTrainResult> TrainDistributed(
   // --- Shard entitlement plane ------------------------------------------
   // `owned[m]` is worker m's authoritative example entitlement; the
   // worker's local SGD shard is a *copy* it refreshes at clock boundaries.
-  // Two service-loop mechanisms mutate entitlements:
-  //   - eviction failover (on_evict): the victim's owned[] is round-robined
-  //     across the survivors — `owned` mirrors the full entitlement so a
-  //     cascading eviction re-fails-over adopted examples exactly once;
-  //   - live rebalancing (on_clock_report): the LoadBalancer moves tail
-  //     slices from persistent stragglers to fast workers, and back.
+  // Two service-loop mechanisms mutate entitlements, with the same
+  // data/sharding.h primitives the simulator uses:
+  //   - eviction failover (on_evict): ReassignAcross spreads the victim's
+  //     owned[] evenly across the survivors — `owned` mirrors the full
+  //     entitlement so a cascading eviction re-fails-over adopted
+  //     examples exactly once;
+  //   - live rebalancing (on_clock_report): the LoadBalancer's moves are
+  //     ReassignTail calls, from persistent stragglers to fast workers,
+  //     and back.
   // Both bump `shard_gen[m]`; a worker whose seen generation is stale
   // copies owned[m] into its SGD shard before the next clock, so grows
   // AND shrinks land atomically at clock boundaries — a batch never
   // changes mid-compute and SSP admission is untouched.
   const size_t n_workers = static_cast<size_t>(options.num_workers);
   std::mutex failover_mu;
-  std::vector<std::vector<size_t>> owned(n_workers);
+  std::vector<DataShard> owned = shards;          // guarded by failover_mu
   std::vector<uint64_t> shard_gen(n_workers, 0);  // guarded by failover_mu
-  for (size_t m = 0; m < n_workers; ++m) {
-    owned[m] = shards[m].example_indices;
-  }
   std::unique_ptr<std::atomic<bool>[]> evicted(
       new std::atomic<bool>[n_workers]);
   for (size_t m = 0; m < n_workers; ++m) evicted[m].store(false);
@@ -113,15 +113,11 @@ Result<DistributedTrainResult> TrainDistributed(
       const std::vector<ShardMove> moves =
           lb->OnClockReport(worker, clock, seconds, ps.master(), sizes);
       for (const ShardMove& mv : moves) {
-        std::vector<size_t>& src = owned[static_cast<size_t>(mv.from)];
-        std::vector<size_t>& dst = owned[static_cast<size_t>(mv.to)];
-        const size_t count = std::min(mv.count, src.size());
-        if (count == 0) continue;
-        dst.insert(dst.end(), src.end() - static_cast<std::ptrdiff_t>(count),
-                   src.end());
-        src.resize(src.size() - count);
-        ++shard_gen[static_cast<size_t>(mv.from)];
-        ++shard_gen[static_cast<size_t>(mv.to)];
+        const size_t from = static_cast<size_t>(mv.from);
+        const size_t to = static_cast<size_t>(mv.to);
+        if (ReassignTail(&owned[from], &owned[to], mv.count) == 0) continue;
+        ++shard_gen[from];
+        ++shard_gen[to];
       }
     };
   }
@@ -138,33 +134,28 @@ Result<DistributedTrainResult> TrainDistributed(
     // The victim's entitlement (borrowed examples included) is spread
     // below; its loan-ledger entries can never be repaid.
     if (lb != nullptr) lb->OnWorkerEvicted(victim);
-    std::vector<size_t> orphans =
-        std::move(owned[static_cast<size_t>(victim)]);
-    owned[static_cast<size_t>(victim)].clear();
     ++shard_gen[static_cast<size_t>(victim)];
-    std::vector<size_t> survivors;
+    std::vector<DataShard*> survivors;
     for (size_t m = 0; m < n_workers; ++m) {
-      if (!evicted[m].load(std::memory_order_acquire)) survivors.push_back(m);
+      if (evicted[m].load(std::memory_order_acquire)) continue;
+      survivors.push_back(&owned[m]);
+      ++shard_gen[m];
     }
-    if (survivors.empty() || orphans.empty()) return;
-    for (size_t i = 0; i < orphans.size(); ++i) {
-      const size_t r = survivors[i % survivors.size()];
-      owned[r].push_back(orphans[i]);
-    }
-    for (size_t r : survivors) ++shard_gen[r];
-    const int64_t touched = static_cast<int64_t>(
-        std::min(survivors.size(), orphans.size()));
+    const size_t moved =
+        ReassignAcross(&owned[static_cast<size_t>(victim)], survivors);
+    if (moved == 0) return;
+    const int64_t touched =
+        static_cast<int64_t>(std::min(survivors.size(), moved));
     shard_reassignments += touched;
-    examples_failed_over += static_cast<int64_t>(orphans.size());
+    examples_failed_over += static_cast<int64_t>(moved);
     GlobalMetrics()
         .counter("ps.shard_reassignments")
         ->Increment(touched);
     HETPS_TRACE_INSTANT1("ps.shard_failover", "worker", victim);
-    FlightRecorder::Global().Record(
-        "shard_failover", victim, /*clock=*/-1,
-        static_cast<double>(orphans.size()));
-    HETPS_LOG(Info) << "failover: worker " << victim << "'s "
-                    << orphans.size() << " examples spread across "
+    FlightRecorder::Global().Record("shard_failover", victim, /*clock=*/-1,
+                                    static_cast<double>(moved));
+    HETPS_LOG(Info) << "failover: worker " << victim << "'s " << moved
+                    << " examples spread across "
                     << survivors.size() << " survivors";
   };
 
@@ -265,7 +256,7 @@ Result<DistributedTrainResult> TrainDistributed(
       // copied at clock boundaries so a batch never changes mid-compute.
       std::lock_guard<std::mutex> lock(failover_mu);
       if (shard_gen[mi] != seen_gen) {
-        sgd.mutable_shard()->example_indices = owned[mi];
+        *sgd.mutable_shard() = owned[mi];
         seen_gen = shard_gen[mi];
       }
       return true;

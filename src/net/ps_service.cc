@@ -61,9 +61,7 @@ constexpr OpInfo kOps[] = {
     {PsOpCode::kPushColumnar, "push_columnar", "rpc.push_columnar"},
     {PsOpCode::kPullDelta, "pull_delta", "rpc.pull_delta"},
     {PsOpCode::kLayout, "layout", "rpc.layout"},
-    {PsOpCode::kPullRange, "pull_range", "rpc.pull_range"},
     {PsOpCode::kCanAdvance, "can_advance", "rpc.can_advance"},
-    {PsOpCode::kStableVersion, "stable_version", "rpc.stable_version"},
     {PsOpCode::kReportClock, "report_clock", "rpc.report_clock"},
     {PsOpCode::kReadmit, "readmit", "rpc.readmit"},
     {PsOpCode::kStatus, "status", "rpc.status"},
@@ -237,14 +235,8 @@ std::vector<uint8_t> PsService::Handle(const Envelope& request) {
       case PsOpCode::kLayout:
         response = HandleLayout(&reader);
         break;
-      case PsOpCode::kPullRange:
-        response = HandlePullRange(&reader);
-        break;
       case PsOpCode::kCanAdvance:
         response = HandleCanAdvance(&reader);
-        break;
-      case PsOpCode::kStableVersion:
-        response = HandleStableVersion(&reader);
         break;
       case PsOpCode::kReportClock:
         response = HandleReportClock(&reader);
@@ -351,7 +343,7 @@ std::vector<uint8_t> PsService::HandlePushColumnar(ByteReader* reader) {
     pieces.emplace_back(static_cast<int>(partition), std::move(piece));
   }
   ps_->PushPieces(static_cast<int>(worker), static_cast<int>(clock),
-                  pieces);
+                  pieces, /*finishes_push=*/true);
   last_push_clock_[static_cast<size_t>(worker)] = clock;
   ByteWriter w;
   w.WriteU8(0);
@@ -424,28 +416,6 @@ std::vector<uint8_t> PsService::HandleLayout(ByteReader* reader) {
   return w.TakeBuffer();
 }
 
-std::vector<uint8_t> PsService::HandlePullRange(ByteReader* reader) {
-  int64_t worker = 0;
-  int64_t begin = 0;
-  int64_t end = 0;
-  Status st = reader->ReadI64(&worker);
-  if (st.ok()) st = reader->ReadI64(&begin);
-  if (st.ok()) st = reader->ReadI64(&end);
-  if (st.ok() && (worker < 0 || worker >= ps_->num_workers())) {
-    st = Status::InvalidArgument("worker id out of range");
-  }
-  if (st.ok() && (begin < 0 || begin > end || end > ps_->dim())) {
-    st = Status::InvalidArgument("bad key interval");
-  }
-  if (!st.ok()) return ErrorResponse(st);
-  const std::vector<double> values =
-      ps_->PullRange(static_cast<int>(worker), begin, end);
-  ByteWriter w;
-  w.WriteU8(0);
-  w.WriteDenseVector(values);
-  return w.TakeBuffer();
-}
-
 std::vector<uint8_t> PsService::HandleCanAdvance(ByteReader* reader) {
   int64_t worker = 0;
   int64_t next_clock = 0;
@@ -458,14 +428,6 @@ std::vector<uint8_t> PsService::HandleCanAdvance(ByteReader* reader) {
                             static_cast<int>(next_clock))
                 ? 1
                 : 0);
-  return w.TakeBuffer();
-}
-
-std::vector<uint8_t> PsService::HandleStableVersion(ByteReader* reader) {
-  (void)reader;
-  ByteWriter w;
-  w.WriteU8(0);
-  w.WriteI64(ps_->StableVersion());
   return w.TakeBuffer();
 }
 
@@ -755,8 +717,9 @@ Status BusTransport::PullDelta(const std::vector<int64_t>& cached_tags,
     return Status::InvalidArgument("partition count changed mid-stream");
   }
   // Partitions arrive in index order (the response carries no explicit
-  // ids). Decoding checks the framing and the encodings; PsClient checks
-  // each piece against the layout before it touches the cache.
+  // ids). Decoding checks the framing and the encodings;
+  // ApplyPartitionPull checks each piece against the layout before it
+  // touches the cache.
   result->partitions.resize(parts);
   int64_t shipped = 0;
   for (size_t p = 0; p < parts; ++p) {
@@ -790,20 +753,6 @@ Status BusTransport::PullDelta(const std::vector<int64_t>& cached_tags,
   // Baseline: the whole model, dense.
   result->bytes_full = dim_ * static_cast<int64_t>(sizeof(double));
   return Status::OK();
-}
-
-Status BusTransport::PullRange(int64_t begin, int64_t end,
-                               std::vector<double>* values) {
-  ByteWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kPullRange));
-  w.WriteI64(worker_id_);
-  w.WriteI64(begin);
-  w.WriteI64(end);
-  auto response = Roundtrip(w.TakeBuffer());
-  if (!response.ok()) return response.status();
-  ByteReader reader(response.value());
-  HETPS_RETURN_NOT_OK(ConsumeStatus(&reader));
-  return reader.ReadDenseVector(values);
 }
 
 Result<bool> BusTransport::CanAdvance(int next_clock) {
@@ -841,18 +790,6 @@ Status BusTransport::WaitUntilCanAdvance(int next_clock,
       std::this_thread::sleep_for(retry_.admission_probe_sleep);
     }
   }
-}
-
-Result<int64_t> BusTransport::StableVersion() {
-  ByteWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kStableVersion));
-  auto response = Roundtrip(w.TakeBuffer());
-  if (!response.ok()) return response.status();
-  ByteReader reader(response.value());
-  HETPS_RETURN_NOT_OK(ConsumeStatus(&reader));
-  int64_t version = 0;
-  HETPS_RETURN_NOT_OK(reader.ReadI64(&version));
-  return version;
 }
 
 Status BusTransport::ReportClock(int clock, double seconds) {

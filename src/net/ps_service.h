@@ -26,12 +26,11 @@ namespace hetps {
 /// non-zero.
 enum class PsOpCode : uint8_t {
   /// Retired: the global-indexed push frame. The number stays reserved;
-  /// the service answers it, like 2 (the retired whole-model pull), as an
-  /// unknown opcode.
+  /// the service answers it, like 2 (the retired whole-model pull), 3
+  /// (the retired range pull) and 5 (the retired stable-version query),
+  /// as an unknown opcode.
   kPush = 1,
-  kPullRange = 3,
   kCanAdvance = 4,
-  kStableVersion = 5,
   /// The pull: request carries the client's per-partition content tags
   /// (all kNoCachedTag for a whole-model pull); response ships only
   /// changed partitions (dense piece, sparse piece, or sparse patch of
@@ -193,9 +192,7 @@ class PsService {
   std::vector<uint8_t> HandlePushColumnar(ByteReader* reader);
   std::vector<uint8_t> HandlePullDelta(ByteReader* reader);
   std::vector<uint8_t> HandleLayout(ByteReader* reader);
-  std::vector<uint8_t> HandlePullRange(ByteReader* reader);
   std::vector<uint8_t> HandleCanAdvance(ByteReader* reader);
-  std::vector<uint8_t> HandleStableVersion(ByteReader* reader);
   std::vector<uint8_t> HandleReportClock(ByteReader* reader);
   std::vector<uint8_t> HandleReadmit(const Envelope& request,
                                      ByteReader* reader);
@@ -294,8 +291,6 @@ class BusTransport final : public PsTransport {
               const Partitioner& layout) override;
   Status PullDelta(const std::vector<int64_t>& cached_tags,
                    DeltaPullResult* result) override;
-  Status PullRange(int64_t begin, int64_t end,
-                   std::vector<double>* values) override;
   Result<bool> CanAdvance(int next_clock) override;
   /// Returns DeadlineExceeded after retry.max_admission_probes denied
   /// probes (0 = poll forever), FailedPrecondition once the service has
@@ -303,7 +298,6 @@ class BusTransport final : public PsTransport {
   Status WaitUntilCanAdvance(int next_clock,
                              const std::atomic<bool>* cancel) override;
   void WakeWaiters() override {}  // the poll loop re-checks each probe
-  Result<int64_t> StableVersion() override;
   Status ReportClock(int clock, double seconds) override;
   Status Readmit(int clock) override;
   MetricsRegistry* metrics() override;

@@ -59,22 +59,84 @@ constexpr int64_t kTagEpochMask = (int64_t{1} << 14) - 1;
 /// sparse (16 B/nonzero) when less than half full, dense (8 B/key)
 /// otherwise. Mirrors ServerShard::WirePayloadBytes for a vector we
 /// already hold.
-int64_t MaterializedWireBytes(const std::vector<double>& block,
-                              size_t* nnz_out) {
+int64_t MaterializedWireBytes(const std::vector<double>& block) {
   size_t nnz = 0;
   for (double v : block) {
     if (v != 0.0) ++nnz;
   }
-  if (nnz_out != nullptr) *nnz_out = nnz;
   const int64_t dense = static_cast<int64_t>(block.size()) *
                         static_cast<int64_t>(sizeof(double));
-  const int64_t sparse = static_cast<int64_t>(nnz) *
-                         static_cast<int64_t>(sizeof(int64_t) +
-                                              sizeof(double));
-  return std::min(dense, sparse);
+  return std::min(dense, SparseBytes(nnz));
 }
 
 }  // namespace
+
+Status ApplyPartitionPull(const Partitioner& layout, const PartitionPull& piece,
+                          std::vector<double>* replica,
+                          std::vector<int64_t>* tags, bool* tag_mismatch) {
+  HETPS_CHECK(static_cast<int64_t>(replica->size()) == layout.dim() &&
+              static_cast<int>(tags->size()) == layout.num_partitions())
+      << "replica or tags do not match the layout";
+  const int p = piece.partition;
+  if (p < 0 || p >= layout.num_partitions()) {
+    return Status::InvalidArgument("piece partition id out of range");
+  }
+  const size_t slot = static_cast<size_t>(p);
+  const int64_t dim_p = layout.PartitionDim(p);
+  switch (piece.encoding) {
+    case PartitionPull::Encoding::kUnchanged:
+      // Content tag matched: the replica is already current.
+      break;
+    case PartitionPull::Encoding::kDense:
+      if (piece.dense.size() != static_cast<size_t>(dim_p)) {
+        return Status::InvalidArgument("dense piece has wrong length");
+      }
+      ScatterBlock(layout, p, piece.dense, replica->data());
+      break;
+    case PartitionPull::Encoding::kSparse:
+    case PartitionPull::Encoding::kSparsePatch: {
+      const bool patch =
+          piece.encoding == PartitionPull::Encoding::kSparsePatch;
+      if (piece.sparse.MinimumDimension() > dim_p) {
+        return Status::InvalidArgument(patch
+                                           ? "patch piece index out of range"
+                                           : "sparse piece index out of range");
+      }
+      if (patch && piece.base_tag != (*tags)[slot]) {
+        // A patch on state we no longer (or never) held: drop it and
+        // re-pull this partition whole on the caller's retry.
+        *tag_mismatch = true;
+        (*tags)[slot] = kNoCachedTag;
+        return Status::OK();
+      }
+      // A whole block in sparse layout clears the partition's slots
+      // first; a patch overwrites only its keys with current values.
+      // Range-based schemes address the block at its base key; hash
+      // striding goes through GlobalIndex per key.
+      const int64_t* idx = piece.sparse.indices().data();
+      const double* val = piece.sparse.values().data();
+      double* out = replica->data();
+      int64_t base = 0;
+      if (layout.ContiguousKeyRange(p, &base)) {
+        double* block = out + base;
+        if (!patch) std::fill(block, block + dim_p, 0.0);
+        for (size_t i = 0; i < piece.sparse.nnz(); ++i) block[idx[i]] = val[i];
+      } else {
+        if (!patch) {
+          for (int64_t local = 0; local < dim_p; ++local) {
+            out[layout.GlobalIndex(p, local)] = 0.0;
+          }
+        }
+        for (size_t i = 0; i < piece.sparse.nnz(); ++i) {
+          out[layout.GlobalIndex(p, idx[i])] = val[i];
+        }
+      }
+      break;
+    }
+  }
+  (*tags)[slot] = piece.tag;
+  return Status::OK();
+}
 
 bool ParameterServer::TagIsVersioned(int64_t tag) {
   return tag >= 0 && (tag & kTagVersionedBit) != 0;
@@ -123,7 +185,6 @@ ParameterServer::ParameterServer(int64_t dim, int num_workers,
   // pointers and never touch the registry again.
   metrics_ = options.metrics != nullptr ? options.metrics : &GlobalMetrics();
   push_counter_ = metrics_->counter("ps.push.count");
-  push_bytes_ = metrics_->counter("ps.push.bytes");
   push_pieces_counter_ = metrics_->counter("push.pieces");
   push_bytes_shipped_ = metrics_->counter("push.bytes_shipped");
   pull_counter_ = metrics_->counter("ps.pull.count");
@@ -139,14 +200,11 @@ ParameterServer::ParameterServer(int64_t dim, int num_workers,
   blocked_workers_ = metrics_->gauge("ps.blocked_workers");
   blocked_workers_->Set(0.0);
   admission_wait_us_ = metrics_->histogram("ps.admission_wait_us");
-  push_piece_us_.reserve(static_cast<size_t>(parts));
   push_lock_wait_us_.reserve(static_cast<size_t>(parts));
   push_apply_us_.reserve(static_cast<size_t>(parts));
   pull_piece_us_.reserve(static_cast<size_t>(parts));
   for (int p = 0; p < parts; ++p) {
     const MetricLabels labels = {{"partition", std::to_string(p)}};
-    push_piece_us_.push_back(
-        metrics_->histogram("ps.push_piece_us", labels));
     push_lock_wait_us_.push_back(
         metrics_->histogram("ps.push_lock_wait_us", labels));
     push_apply_us_.push_back(
@@ -164,97 +222,69 @@ ParameterServer::ParameterServer(int64_t dim, int num_workers,
 void ParameterServer::Push(int worker, int clock,
                            const SparseVector& update) {
   HETPS_TRACE_SPAN2("ps.push", "worker", worker, "nnz", update.nnz());
-  // Membership guard (a push that raced its sender's eviction must not
-  // touch shard state — the worker's data shard has already been handed
-  // to the survivors, so its gradient would double-count that data)
-  // lives in PushPieces, the one choke point both this facade and the
-  // columnar wire path go through.
   const SparseVector filtered =
       options_.update_filter_epsilon > 0.0
           ? update.Filtered(options_.update_filter_epsilon)
           : update;
-  std::vector<SparseVector> pieces =
-      partitioner_.SplitByPartition(filtered);
-  // For no-op-on-empty rules (SSP/Con accumulate), empty pieces carry no
-  // information; consolidating them inflates push_count and generates
-  // pointless shard-lock traffic (common when update_filter_epsilon
-  // empties a partition's slice), so they are skipped. Version-tracking
-  // rules (DynSGD) still receive every piece — an empty piece is their
-  // "worker finished this clock here" completion marker (§6). Either
-  // way the clock advances exactly once per whole-update push,
-  // even if filtering emptied every piece.
-  std::vector<std::pair<int, SparseVector>> kept;
-  kept.reserve(pieces.size());
-  for (int p = 0; p < partitioner_.num_partitions(); ++p) {
-    SparseVector& piece = pieces[static_cast<size_t>(p)];
-    if (piece.empty() && empty_push_is_noop_) continue;
-    kept.emplace_back(p, std::move(piece));
+  std::vector<SparseVector> split = partitioner_.SplitByPartition(filtered);
+  std::vector<std::pair<int, SparseVector>> pieces;
+  pieces.reserve(split.size());
+  for (size_t p = 0; p < split.size(); ++p) {
+    pieces.emplace_back(static_cast<int>(p), std::move(split[p]));
   }
-  PushPieces(worker, clock, kept);
+  PushPieces(worker, clock, pieces, /*finishes_push=*/true);
 }
 
 void ParameterServer::PushPieces(
     int worker, int clock,
-    const std::vector<std::pair<int, SparseVector>>& pieces) {
-  // Membership guard, once per logical push (matches Push()'s
-  // accounting of ps.evicted_pushes_dropped).
+    const std::vector<std::pair<int, SparseVector>>& pieces,
+    bool finishes_push) {
+  // Membership guard: a push that raced its sender's eviction must not
+  // touch shard state — the worker's data shard has already been handed
+  // to the survivors, so its gradient would double-count that data.
+  // Counted once per logical push, on the call that finishes it.
   if (!IsWorkerLive(worker)) {
-    evicted_pushes_dropped_->Increment();
+    if (finishes_push) evicted_pushes_dropped_->Increment();
     return;
   }
+  // For no-op-on-empty rules (SSP/Con accumulate), empty pieces carry no
+  // information; consolidating them would bump the shard's data_version
+  // (making a clean partition look dirty to the pull cache), inflate
+  // push_count and take the shard lock for nothing — common when
+  // update_filter_epsilon empties a partition's slice. Version-tracking
+  // rules (DynSGD) still receive every piece: an empty piece is their
+  // "worker finished this clock here" completion marker (§6). Either way
+  // the clock advances once per logical push.
+  std::vector<const std::pair<int, SparseVector>*> kept;
+  kept.reserve(pieces.size());
   int64_t shipped = 0;
-  for (const auto& pr : pieces) shipped += PieceBytes(pr.second);
-  push_pieces_counter_->Increment(static_cast<int64_t>(pieces.size()));
+  for (const auto& pr : pieces) {
+    if (pr.second.empty() && empty_push_is_noop_) continue;
+    kept.push_back(&pr);
+    shipped += PieceBytes(pr.second);
+  }
+  push_pieces_counter_->Increment(static_cast<int64_t>(kept.size()));
   push_bytes_shipped_->Increment(shipped);
-  const bool parallel =
-      pieces.size() > 1 && options_.push_parallelism != 1;
-  if (parallel) {
+  const auto apply = [&](int i) {
+    const auto& pr = *kept[static_cast<size_t>(i)];
+    ApplyPiece(pr.first, worker, clock, pr.second);
+  };
+  const int count = static_cast<int>(kept.size());
+  if (count > 1 && options_.push_parallelism != 1) {
     // Pieces of one push hit distinct shards, so parallel apply is
     // content-deterministic: every shard sees exactly the piece it
     // would see serially, under the same shard mutex.
-    RunOnApplyPool(static_cast<int>(pieces.size()), [&](int i) {
-      const auto& pr = pieces[static_cast<size_t>(i)];
-      ApplyPushPiece(pr.first, worker, clock, pr.second);
-    });
+    RunOnApplyPool(count, apply);
   } else {
-    for (const auto& pr : pieces) {
-      ApplyPushPiece(pr.first, worker, clock, pr.second);
-    }
+    for (int i = 0; i < count; ++i) apply(i);
   }
   // Lock order: every shard mutex (L2) is released before AdvanceClock
-  // takes clock_mu_ (L1); the two are never nested. Exactly one clock
-  // advance per logical push, after the last piece landed.
-  AdvanceClock(worker, clock);
+  // takes clock_mu_ (L1); the two are never nested.
+  if (finishes_push) AdvanceClock(worker, clock);
 }
 
-void ParameterServer::PushPiece(int partition, int worker, int clock,
-                                const SparseVector& local_piece,
-                                bool last_piece) {
-  // Same no-op-on-empty rule as Push() above, applied here so the
-  // per-piece callers (PsService, the event simulator) agree with the
-  // facade: an empty SSP/Con piece must not touch the shard — and in
-  // particular must not bump its data_version, which would make a clean
-  // partition look dirty to the version-aware pull path. The clock
-  // still advances when this was the update's last piece.
-  if (local_piece.empty() && empty_push_is_noop_) {
-    if (last_piece) AdvanceClock(worker, clock);
-    return;
-  }
-  // Same membership guard as Push(), for the piecewise callers (PsService,
-  // the event simulator). Counted once per logical push (on the final
-  // piece) so both paths agree on ps.evicted_pushes_dropped.
-  if (!IsWorkerLive(worker)) {
-    if (last_piece) evicted_pushes_dropped_->Increment();
-    return;
-  }
-  ApplyPushPiece(partition, worker, clock, local_piece);
-  // Lock order: the shard mutex (L2) is released before AdvanceClock
-  // takes clock_mu_ (L1); the two are never nested here.
-  if (last_piece) AdvanceClock(worker, clock);
-}
-
-void ParameterServer::ApplyPushPiece(int partition, int worker, int clock,
-                                     const SparseVector& local_piece) {
+void ParameterServer::ApplyPiece(int partition, int worker, int clock,
+                                 const SparseVector& local_piece) {
   const Clock::time_point start = Clock::now();
   Clock::time_point locked;
   {
@@ -265,16 +295,11 @@ void ParameterServer::ApplyPushPiece(int partition, int worker, int clock,
     shard->Push(worker, clock, local_piece);
     master_.ReportVersion(partition, shard->CompletedVersionCount());
   }
-  const int64_t lock_wait_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(locked - start)
-          .count();
-  const int64_t apply_us = MicrosSince(locked);
   push_lock_wait_us_[static_cast<size_t>(partition)]->RecordInt(
-      lock_wait_us);
-  push_apply_us_[static_cast<size_t>(partition)]->RecordInt(apply_us);
-  push_piece_us_[static_cast<size_t>(partition)]->RecordInt(lock_wait_us +
-                                                            apply_us);
-  push_bytes_->Increment(PieceBytes(local_piece));
+      std::chrono::duration_cast<std::chrono::microseconds>(locked - start)
+          .count());
+  push_apply_us_[static_cast<size_t>(partition)]->RecordInt(
+      MicrosSince(locked));
 }
 
 void ParameterServer::AdvanceClock(int worker, int clock) {
@@ -435,199 +460,136 @@ void ParameterServer::WakeClockWaiters() {
   clock_cv_.notify_all();
 }
 
-std::vector<double> ParameterServer::PullFull(int worker, int* cmin_out) {
-  HETPS_TRACE_SPAN1("ps.pull", "worker", worker);
-  int64_t version = -1;
-  if (options_.partition_sync) {
-    version = master_.StableVersion();
-  }
-  std::vector<double> out = AssemblePull(worker, version);
-  if (cmin_out != nullptr) {
-    std::lock_guard<std::mutex> lock(clock_mu_);
-    *cmin_out = clock_table_.cmin();
-  }
-  return out;
-}
-
-std::vector<double> ParameterServer::AssemblePull(int worker,
-                                                  int64_t version) {
-  const int parts = partitioner_.num_partitions();
-  std::vector<double> out(static_cast<size_t>(partitioner_.dim()), 0.0);
-  const auto pull_one = [&](int p) {
-    const std::vector<double> block = PullPiece(p, worker, version);
-    // Partitions scatter into disjoint key sets, so concurrent
-    // ScatterBlock calls never write the same slot.
-    ScatterBlock(partitioner_, p, block, out.data());
-  };
-  if (parts > 1 && options_.pull_parallelism != 1) {
-    RunOnApplyPool(parts, pull_one);
+void ParameterServer::PullTally::Add(const PiecePullPlan& plan) {
+  if (!plan.changed) {
+    ++hits;
   } else {
-    for (int p = 0; p < parts; ++p) pull_one(p);
+    ++shipped;
+    if (plan.patch) ++patches;
   }
-  return out;
+  bytes += plan.bytes;
+  bytes_full += plan.bytes_full;
 }
 
-std::vector<double> ParameterServer::PullPiece(int partition, int worker,
-                                               int64_t version) {
-  return PullPieceTagged(partition, worker, version, /*tag_out=*/nullptr);
+void ParameterServer::CountPulls(const PullTally& tally) {
+  pull_cache_hit_->Increment(tally.hits);
+  pull_partitions_shipped_->Increment(tally.shipped);
+  pull_bytes_shipped_->Increment(tally.bytes);
+  pull_delta_hits_->Increment(tally.patches);
+  const int64_t saved = tally.bytes_full - tally.bytes;
+  if (saved > 0) pull_bytes_saved_->Increment(saved);
 }
 
-std::vector<double> ParameterServer::PullPieceTagged(int partition,
-                                                     int worker,
-                                                     int64_t version,
-                                                     int64_t* tag_out) {
+PiecePullPlan ParameterServer::DecidePullLocked(ServerShard* shard,
+                                                int worker, int cmax,
+                                                int64_t version,
+                                                int64_t cached_tag,
+                                                PartitionPull* out) {
+  const bool versioned =
+      options_.partition_sync && versioned_snapshots_ && version >= 0;
+  PiecePullPlan plan;
+  plan.tag = versioned ? MakeTag(true, version)
+                       : MakeTag(false, shard->data_version());
+  plan.bytes_full = shard->WirePayloadBytes();
+  if (out != nullptr) out->tag = plan.tag;
+  if (cached_tag == plan.tag) {
+    // Cache hit: the client's copy is byte-identical. Still a read at
+    // cmax for the rule's bookkeeping (Algorithm 2 line 18).
+    plan.changed = false;
+    if (out != nullptr) {
+      shard->StampPull(worker, cmax);
+      out->encoding = PartitionPull::Encoding::kUnchanged;
+    }
+    return plan;
+  }
+  // Try the patch first (live-tag mode only; versioned snapshots change
+  // wholesale at stable-version boundaries). It carries the current
+  // values at the keys written since the cached tag — gathered under the
+  // caller's shard lock, so they match plan.tag exactly. Delta logs
+  // exist only for support-local rules, whose materialized block is the
+  // parameter block itself.
+  std::vector<int64_t> keys;
+  if (!versioned && TagInCurrentEpoch(cached_tag, /*versioned=*/false) &&
+      shard->DeltaSince(TagValue(cached_tag), &keys) &&
+      SparseBytes(keys.size()) < plan.bytes_full) {
+    plan.patch = true;
+    plan.bytes = SparseBytes(keys.size());
+    if (out != nullptr) {
+      shard->StampPull(worker, cmax);
+      std::vector<double> values(keys.size());
+      shard->param().Gather(keys.data(), keys.size(), values.data());
+      out->encoding = PartitionPull::Encoding::kSparsePatch;
+      out->base_tag = cached_tag;
+      out->sparse = SparseVector(std::move(keys), std::move(values));
+    }
+    return plan;
+  }
+  plan.bytes = plan.bytes_full;
+  if (out == nullptr) return plan;
+  // Whole-block ship: materialize, then pick the cheaper layout
+  // (ParamBlock's 50% rule applied to the materialized content).
+  std::vector<double> block =
+      version >= 0 ? shard->PullAtVersion(worker, cmax, version)
+                   : shard->Pull(worker, cmax);
+  const int64_t dense_bytes = static_cast<int64_t>(block.size()) *
+                              static_cast<int64_t>(sizeof(double));
+  plan.bytes = MaterializedWireBytes(block);
+  if (plan.bytes < dense_bytes) {
+    out->encoding = PartitionPull::Encoding::kSparse;
+    out->sparse = SparseVector::FromDense(block);
+  } else {
+    out->encoding = PartitionPull::Encoding::kDense;
+    out->dense = std::move(block);
+  }
+  return plan;
+}
+
+PartitionPull ParameterServer::BuildPartitionPull(int partition, int worker,
+                                                  int64_t version,
+                                                  int64_t cached_tag,
+                                                  PiecePullPlan* plan) {
+  HETPS_CHECK(partition >= 0 && partition < num_partitions())
+      << "partition id out of range";
   // Lock order (L1 before L2): snapshot cmax under clock_mu_ *before*
   // taking the shard mutex. Taking clock_mu_ inside the shard critical
   // section inverted the SaveCheckpoint order (clock -> shard) and was a
   // real ABBA deadlock under concurrent pull + checkpoint; regression
   // test: PsConcurrencyTest.PullsRaceCheckpointsWithoutDeadlock.
   const Clock::time_point start = Clock::now();
-  int cmax_now;
-  {
-    std::lock_guard<std::mutex> clock_lock(clock_mu_);
-    cmax_now = clock_table_.cmax();
-  }
-  std::vector<double> block;
+  const int cmax_now = cmax();
+  PartitionPull out;
+  out.partition = partition;
+  PiecePullPlan decided;
   {
     std::lock_guard<std::mutex> lock(
         *shard_mu_[static_cast<size_t>(partition)]);
-    ServerShard* shard = shards_[static_cast<size_t>(partition)].get();
-    block = version >= 0 ? shard->PullAtVersion(worker, cmax_now, version)
-                         : shard->Pull(worker, cmax_now);
-    if (tag_out != nullptr) {
-      // The tag must be computed under the same shard critical section as
-      // the materialization — a push between the two would stamp content
-      // the client never received.
-      const bool versioned =
-          options_.partition_sync && versioned_snapshots_ && version >= 0;
-      *tag_out = versioned ? MakeTag(true, version)
-                           : MakeTag(false, shard->data_version());
-    }
+    decided = DecidePullLocked(shards_[static_cast<size_t>(partition)].get(),
+                               worker, cmax_now, version, cached_tag, &out);
   }
   pull_piece_us_[static_cast<size_t>(partition)]->RecordInt(
       MicrosSince(start));
   pull_counter_->Increment();
-  return block;
+  if (plan != nullptr) *plan = decided;
+  return out;
 }
 
 PiecePullPlan ParameterServer::PlanPullPiece(int partition, int worker,
                                              int64_t version,
-                                             int64_t cached_tag) const {
-  (void)worker;  // planning is worker-independent; kept for symmetry
-  const bool versioned =
-      options_.partition_sync && versioned_snapshots_ && version >= 0;
+                                             int64_t cached_tag) {
+  HETPS_CHECK(partition >= 0 && partition < num_partitions())
+      << "partition id out of range";
   PiecePullPlan plan;
-  std::lock_guard<std::mutex> lock(
-      *shard_mu_[static_cast<size_t>(partition)]);
-  const ServerShard& shard = *shards_[static_cast<size_t>(partition)];
-  plan.tag = versioned ? MakeTag(true, version)
-                       : MakeTag(false, shard.data_version());
-  plan.bytes_full = shard.WirePayloadBytes();
-  if (cached_tag == plan.tag) {
-    plan.changed = false;
-    plan.bytes = 0;
-    return plan;
-  }
-  plan.changed = true;
-  plan.bytes = plan.bytes_full;
-  // A patch can undercut the whole-block ship when the client's tag is a
-  // live tag from the current epoch and the delta log still reaches back
-  // to it.
-  if (!versioned && TagInCurrentEpoch(cached_tag, /*versioned=*/false)) {
-    std::vector<int64_t> keys;
-    if (shard.DeltaSince(TagValue(cached_tag), &keys)) {
-      plan.bytes = std::min(plan.bytes, SparseBytes(keys.size()));
-    }
-  }
-  return plan;
-}
-
-void ParameterServer::RecordPlannedPull(const PiecePullPlan& plan) {
-  if (!plan.changed) {
-    pull_cache_hit_->Increment();
-  } else {
-    pull_partitions_shipped_->Increment();
-    pull_bytes_shipped_->Increment(plan.bytes);
-    if (plan.bytes < plan.bytes_full) pull_delta_hits_->Increment();
-  }
-  const int64_t saved = plan.bytes_full - plan.bytes;
-  if (saved > 0) pull_bytes_saved_->Increment(saved);
-}
-
-int64_t ParameterServer::PartitionTag(int partition) const {
-  const bool versioned = options_.partition_sync && versioned_snapshots_;
-  // Master::mu_ is a leaf lock — never held across the shard lock below.
-  const int64_t stable = versioned ? master_.StableVersion() : -1;
-  std::lock_guard<std::mutex> lock(
-      *shard_mu_[static_cast<size_t>(partition)]);
-  return versioned
-             ? MakeTag(true, stable)
-             : MakeTag(false,
-                       shards_[static_cast<size_t>(partition)]
-                           ->data_version());
-}
-
-PartitionPull ParameterServer::BuildPartitionPull(
-    int partition, int worker, int cmax_now, int64_t version,
-    bool use_versioned_tags, int64_t stable_version, int64_t cached_tag,
-    int64_t* bytes_full_out) {
-  const Clock::time_point start = Clock::now();
-  PartitionPull out;
-  out.partition = partition;
   {
     std::lock_guard<std::mutex> lock(
         *shard_mu_[static_cast<size_t>(partition)]);
-    ServerShard* shard = shards_[static_cast<size_t>(partition)].get();
-    out.tag = use_versioned_tags ? MakeTag(true, stable_version)
-                                 : MakeTag(false, shard->data_version());
-    *bytes_full_out = shard->WirePayloadBytes();
-    if (cached_tag == out.tag) {
-      // Cache hit: the client's copy is byte-identical. Still a read at
-      // cmax for the rule's bookkeeping (Algorithm 2 line 18).
-      shard->StampPull(worker, cmax_now);
-      out.encoding = PartitionPull::Encoding::kUnchanged;
-      return out;
-    }
-    // Try the patch first (live-tag mode only; versioned snapshots
-    // change wholesale at stable-version boundaries). It carries the
-    // current values at the keys written since the cached tag — gathered
-    // under this lock, so they match out.tag exactly. Delta logs exist
-    // only for support-local rules, whose materialized block is the
-    // parameter block itself.
-    std::vector<int64_t> keys;
-    if (!use_versioned_tags &&
-        TagInCurrentEpoch(cached_tag, /*versioned=*/false) &&
-        shard->DeltaSince(TagValue(cached_tag), &keys) &&
-        SparseBytes(keys.size()) < *bytes_full_out) {
-      shard->StampPull(worker, cmax_now);
-      std::vector<double> values(keys.size());
-      shard->param().Gather(keys.data(), keys.size(), values.data());
-      out.encoding = PartitionPull::Encoding::kSparsePatch;
-      out.base_tag = cached_tag;
-      out.sparse = SparseVector(std::move(keys), std::move(values));
-      return out;
-    }
-    // Whole-block ship: materialize, then pick the cheaper layout
-    // (ParamBlock's 50% rule applied to the materialized content).
-    std::vector<double> block =
-        version >= 0 ? shard->PullAtVersion(worker, cmax_now, version)
-                     : shard->Pull(worker, cmax_now);
-    size_t nnz = 0;
-    const int64_t dense_bytes =
-        static_cast<int64_t>(block.size()) *
-        static_cast<int64_t>(sizeof(double));
-    const int64_t wire_bytes = MaterializedWireBytes(block, &nnz);
-    if (wire_bytes < dense_bytes) {
-      out.encoding = PartitionPull::Encoding::kSparse;
-      out.sparse = SparseVector::FromDense(block);
-    } else {
-      out.encoding = PartitionPull::Encoding::kDense;
-      out.dense = std::move(block);
-    }
+    plan = DecidePullLocked(shards_[static_cast<size_t>(partition)].get(),
+                            worker, /*cmax=*/0, version, cached_tag,
+                            /*out=*/nullptr);
   }
-  pull_piece_us_[static_cast<size_t>(partition)]->RecordInt(
-      MicrosSince(start));
-  return out;
+  PullTally tally;
+  tally.Add(plan);
+  CountPulls(tally);
+  return plan;
 }
 
 ThreadPool* ParameterServer::ApplyPool() {
@@ -688,113 +650,31 @@ DeltaPullResult ParameterServer::PullDelta(
     int worker, const std::vector<int64_t>& cached_tags) {
   HETPS_TRACE_SPAN1("ps.pull_delta", "worker", worker);
   const int parts = partitioner_.num_partitions();
-  // L1 snapshot first (documented lock order: never after a shard lock).
-  int cmax_now = 0;
-  int cmin_now = 0;
-  {
-    std::lock_guard<std::mutex> lock(clock_mu_);
-    cmax_now = clock_table_.cmax();
-    cmin_now = clock_table_.cmin();
-  }
-  const int64_t stable_version =
-      options_.partition_sync ? master_.StableVersion() : -1;
-  const int64_t version = options_.partition_sync ? stable_version : -1;
-  const bool use_versioned_tags =
-      options_.partition_sync && versioned_snapshots_;
-
-  DeltaPullResult result;
-  result.cmin = cmin_now;
-  result.partitions.resize(static_cast<size_t>(parts));
-  std::vector<int64_t> bytes_full(static_cast<size_t>(parts), 0);
-
-  const auto build_one = [&](int p) {
-    const int64_t cached =
-        static_cast<size_t>(p) < cached_tags.size()
-            ? cached_tags[static_cast<size_t>(p)]
-            : kNoCachedTag;
-    result.partitions[static_cast<size_t>(p)] = BuildPartitionPull(
-        p, worker, cmax_now, version, use_versioned_tags, stable_version,
-        cached, &bytes_full[static_cast<size_t>(p)]);
-  };
-
-  const bool parallel = parts > 1 && options_.pull_parallelism != 1;
-  if (parallel) {
-    // Partition slots are disjoint, so the writes need no extra locking.
-    RunOnApplyPool(parts, build_one);
-  } else {
-    for (int p = 0; p < parts; ++p) build_one(p);
-  }
-
-  // Wire accounting + counters, summed once after assembly (tasks touch
-  // only their own slots above).
-  int64_t hits = 0;
-  int64_t shipped = 0;
-  int64_t delta_ships = 0;
-  for (int p = 0; p < parts; ++p) {
-    const PartitionPull& pp = result.partitions[static_cast<size_t>(p)];
-    result.bytes_full += bytes_full[static_cast<size_t>(p)];
-    switch (pp.encoding) {
-      case PartitionPull::Encoding::kUnchanged:
-        ++hits;
-        break;
-      case PartitionPull::Encoding::kDense:
-        ++shipped;
-        result.bytes_shipped +=
-            static_cast<int64_t>(pp.dense.size()) *
-            static_cast<int64_t>(sizeof(double));
-        break;
-      case PartitionPull::Encoding::kSparse:
-        ++shipped;
-        result.bytes_shipped += PieceBytes(pp.sparse);
-        break;
-      case PartitionPull::Encoding::kSparsePatch:
-        ++shipped;
-        ++delta_ships;
-        result.bytes_shipped += PieceBytes(pp.sparse);
-        break;
-    }
-  }
-  pull_counter_->Increment(parts);
-  pull_cache_hit_->Increment(hits);
-  pull_partitions_shipped_->Increment(shipped);
-  pull_bytes_shipped_->Increment(result.bytes_shipped);
-  pull_delta_hits_->Increment(delta_ships);
-  const int64_t saved = result.bytes_full - result.bytes_shipped;
-  if (saved > 0) pull_bytes_saved_->Increment(saved);
-  return result;
-}
-
-std::vector<double> ParameterServer::PullRange(int worker, int64_t begin,
-                                               int64_t end) {
-  HETPS_CHECK(begin >= 0 && begin <= end && end <= dim())
-      << "bad key interval";
-  std::vector<double> out(static_cast<size_t>(end - begin), 0.0);
   const int64_t version =
       options_.partition_sync ? master_.StableVersion() : -1;
-  for (int p : partitioner_.PartitionsForRange(begin, end)) {
-    const std::vector<double> block = PullPiece(p, worker, version);
-    int64_t base = 0;
-    if (partitioner_.ContiguousKeyRange(p, &base)) {
-      // Copy only the overlap of [base, base + |block|) with [begin, end).
-      const int64_t lo = std::max(base, begin);
-      const int64_t hi =
-          std::min(base + static_cast<int64_t>(block.size()), end);
-      if (lo < hi) {
-        std::memcpy(out.data() + (lo - begin),
-                    block.data() + (lo - base),
-                    static_cast<size_t>(hi - lo) * sizeof(double));
-      }
-      continue;
-    }
-    for (size_t local = 0; local < block.size(); ++local) {
-      const int64_t g =
-          partitioner_.GlobalIndex(p, static_cast<int64_t>(local));
-      if (g >= begin && g < end) {
-        out[static_cast<size_t>(g - begin)] = block[local];
-      }
-    }
+  DeltaPullResult result;
+  result.cmin = cmin();
+  result.partitions.resize(static_cast<size_t>(parts));
+  std::vector<PiecePullPlan> plans(static_cast<size_t>(parts));
+  const auto read_one = [&](int p) {
+    const size_t slot = static_cast<size_t>(p);
+    const int64_t cached =
+        slot < cached_tags.size() ? cached_tags[slot] : kNoCachedTag;
+    result.partitions[slot] =
+        BuildPartitionPull(p, worker, version, cached, &plans[slot]);
+  };
+  if (parts > 1 && options_.pull_parallelism != 1) {
+    // Partition slots are disjoint, so the writes need no extra locking.
+    RunOnApplyPool(parts, read_one);
+  } else {
+    for (int p = 0; p < parts; ++p) read_one(p);
   }
-  return out;
+  PullTally tally;
+  for (const PiecePullPlan& plan : plans) tally.Add(plan);
+  result.bytes_shipped = tally.bytes;
+  result.bytes_full = tally.bytes_full;
+  CountPulls(tally);
+  return result;
 }
 
 std::vector<double> ParameterServer::Snapshot() const {
@@ -989,13 +869,10 @@ Status ParameterServer::LoadCheckpoint(std::istream& is) {
     param->ForceLayout(ParamBlock::Layout::kDense);
     param->Clear();
     SparseVector sv;
-    for (size_t i = 0; i < nnz; ++i) {
-      int64_t idx = 0;
-      double value = 0.0;
-      if (!(is >> idx >> value)) {
-        return Status::IOError("truncated shard values");
-      }
-      sv.PushBack(idx, value);
+    const Status entries = ReadCheckpointEntries(is, nnz, param->dim(), &sv);
+    if (!entries.ok()) {
+      return Status::IOError("shard " + std::to_string(p) + ": " +
+                             entries.message());
     }
     param->Add(sv);
     if (sparse_layout != 0) {
@@ -1012,9 +889,9 @@ Status ParameterServer::LoadCheckpoint(std::istream& is) {
   // Everything decoded. Swap the staged state in under the documented
   // lock order: clock_mu_ (L1) first, then shard mutexes (L2) in
   // increasing index. Holding L1 across the swap blocks every clock
-  // reader/advancer and every PullPiece (which reads cmax first), so the
-  // restored clock table becomes visible together with the restored
-  // shards on all pull paths.
+  // reader/advancer and every partition read (which reads cmax
+  // first), so the restored clock table becomes visible together with
+  // the restored shards on all pull paths.
   {
     std::lock_guard<std::mutex> clock_lock(clock_mu_);
     // Hold *all* shard mutexes (increasing index — the documented L2

@@ -107,26 +107,45 @@ struct DeltaPullResult {
   int64_t bytes_full = 0;
 };
 
-/// Size/route plan for one partition of a pull — the simulator asks for
-/// this at grant time to size the per-partition message without
-/// materializing the block.
+/// The encoding decision for one partition of a pull: what the response
+/// carries and what it costs on the wire. ParameterServer::PlanPullPiece
+/// returns it without reading the block (the simulator sizes its
+/// per-partition message with it); BuildPartitionPull reports the one it
+/// served.
 struct PiecePullPlan {
   /// False when the cached tag still matches (no payload needed).
   bool changed = true;
-  /// Content tag the response would carry.
+  /// True when the response patches the keys written since the cached tag.
+  bool patch = false;
+  /// Content tag the response carries.
   int64_t tag = kNoCachedTag;
-  /// Content bytes the response ships (0 when unchanged).
+  /// Content bytes the response ships (0 when unchanged). A plan sizes a
+  /// whole block from the parameter block; a served pull from the
+  /// materialized content.
   int64_t bytes = 0;
   /// Content bytes a whole-block ship would cost (50% rule).
   int64_t bytes_full = 0;
 };
 
+/// Applies one partition of a pull response to `replica` (a dense copy
+/// of the whole model) and records the partition's new content tag in
+/// `tags` (one per partition). The one decoder of a PartitionPull, shared
+/// by PsClient and the event simulator. The piece is untrusted: a
+/// partition id, dense length or sparse index outside `layout` is
+/// InvalidArgument. A patch whose base tag `tags` no longer holds is
+/// dropped instead: its tag is reset to kNoCachedTag and `*tag_mismatch`
+/// set, so the caller re-pulls that partition whole.
+Status ApplyPartitionPull(const Partitioner& layout, const PartitionPull& piece,
+                          std::vector<double>* replica,
+                          std::vector<int64_t>* tags, bool* tag_mismatch);
+
 /// Thread-safe facade over the partitioned server shards, the global clock
 /// table, and the master — the "logical PS" the paper's Figure 1 shows.
 ///
 /// The threaded runtime calls Push/PullDelta/WaitUntilCanAdvance directly.
-/// The event simulator drives shards piecewise (PushPiece / PullAssemble)
-/// so it can model per-partition message timing.
+/// The event simulator drives the same calls a partition at a time
+/// (PushPieces per arriving piece, PlanPullPiece and BuildPartitionPull
+/// per partition) so it can model per-partition message timing.
 ///
 /// ## Lock-ordering discipline (enforced; see DESIGN.md §"Concurrency &
 /// fault model")
@@ -141,9 +160,9 @@ struct PiecePullPlan {
 /// any `shard_mu_[p]`, and shard mutexes only in increasing partition
 /// order. Acquiring `clock_mu_` while holding any shard mutex is
 /// forbidden — that inversion was a real ABBA deadlock between
-/// SaveCheckpoint (clock→shard) and PullPiece (shard→clock), fixed by
-/// reading cmax *before* taking the shard lock. Code that needs clock
-/// state inside a shard critical section must snapshot it first.
+/// SaveCheckpoint (clock→shard) and the partition read (shard→clock),
+/// fixed by reading cmax *before* taking the shard lock. Code that needs
+/// clock state inside a shard critical section must snapshot it first.
 class ParameterServer {
  public:
   ParameterServer(int64_t dim, int num_workers,
@@ -168,17 +187,22 @@ class ParameterServer {
   /// consolidates every piece; advances the clock table once.
   void Push(int worker, int clock, const SparseVector& update);
 
-  /// Applies the partition-local pieces of ONE logical push (worker,
-  /// clock) — the columnar wire path (PsService) and the facade Push
-  /// both land here. Pieces apply shard-parallel on the shared apply
-  /// pool when options().push_parallelism != 1 (each under its own
-  /// shard mutex; pieces of one push touch distinct shards, so the
-  /// result is independent of apply order). AdvanceClock fires exactly
-  /// once after the last piece, with no shard mutex held (L2 before
-  /// L1, never nested). Pieces must already be partition-local (from
-  /// partitioner().SplitByPartition or the columnar wire decoder).
+  /// Applies partition-local pieces of ONE logical push (worker, clock)
+  /// — the facade Push, the columnar wire path (PsService) and the
+  /// simulator (one call per arriving piece) all land here. A push from
+  /// an evicted worker is dropped (ps.evicted_pushes_dropped counts it
+  /// on the call that finishes the push). Empty pieces are skipped for
+  /// rules that treat an empty push as a no-op. Pieces apply
+  /// shard-parallel on the shared apply pool when
+  /// options().push_parallelism != 1 (each under its own shard mutex;
+  /// pieces of one push touch distinct shards, so the result is
+  /// independent of apply order). When `finishes_push`, AdvanceClock
+  /// fires once after the last piece, with no shard mutex held (L2
+  /// before L1, never nested). Pieces must already be partition-local
+  /// (from partitioner().SplitByPartition or the columnar wire decoder).
   void PushPieces(int worker, int clock,
-                  const std::vector<std::pair<int, SparseVector>>& pieces);
+                  const std::vector<std::pair<int, SparseVector>>& pieces,
+                  bool finishes_push);
 
   /// True if `worker` may begin `next_clock` under the sync policy.
   /// Always false for an evicted worker.
@@ -217,70 +241,41 @@ class ParameterServer {
   /// its cancel token. Used by prefetch teardown (PsClient dtor).
   void WakeClockWaiters();
 
-  /// Assembles the full dense parameter. When partition_sync is on, pulls
-  /// every partition at the master's stable version. Returns the vector
-  /// and the current cmin (Algorithm 1's pull returns both).
-  std::vector<double> PullFull(int worker, int* cmin_out = nullptr);
-
-  /// Version-aware pull (the tentpole of the client-cache path).
+  /// Version-aware pull of the whole model: BuildPartitionPull for every
+  /// partition, at the master's stable version when partition_sync is on.
   ///
   /// `cached_tags[p]` is the content tag the client holds for partition p
   /// (kNoCachedTag if none; a short vector is padded with kNoCachedTag).
-  /// For every partition the response carries the new tag plus either
-  /// nothing (kUnchanged), the whole block (dense or sparse, 50% rule),
-  /// or a patch of the current values at the keys written since the
-  /// cached tag — whichever is smallest. All tags kNoCachedTag is the
-  /// whole-model pull.
-  /// Pull state is stamped on *every* partition (a cache hit is still a
-  /// read at cmax, Algorithm 2 line 18). Assembly is shard-parallel when
-  /// options().pull_parallelism allows.
+  /// All tags kNoCachedTag is the whole-model pull. Partitions are read
+  /// shard-parallel when options().pull_parallelism allows. Returns the
+  /// pieces, the cmin taken before the reads (Algorithm 1's pull returns
+  /// both) and the wire accounting, which also feeds the pull.* counters.
   DeltaPullResult PullDelta(int worker,
                             const std::vector<int64_t>& cached_tags);
 
-  /// Range pull (the "range push and pull" optimization of Appendix D):
-  /// returns the values of keys [begin, end), reading only the partitions
-  /// the range touches — cheap under range/range-hash partitioning, a
-  /// full fan-out under hash partitioning (§6). Stamps pull state on the
-  /// touched partitions only.
-  std::vector<double> PullRange(int worker, int64_t begin, int64_t end);
+  /// The one partition read. Snapshots cmax (L1), then under the shard
+  /// mutex mints the partition's content tag and answers `cached_tag`
+  /// with nothing (kUnchanged), a patch of the current values at the
+  /// keys written since it, or the whole block (dense or sparse, 50%
+  /// rule) — whichever is smallest. `version >= 0` reads the snapshot at
+  /// that stable version. Every read stamps pull state (a cache hit is
+  /// still a read at cmax, Algorithm 2 line 18) and records
+  /// ps.pull_piece_us and ps.pull.count. `plan` (may be null) receives
+  /// the decision and its bytes.
+  PartitionPull BuildPartitionPull(int partition, int worker, int64_t version,
+                                   int64_t cached_tag,
+                                   PiecePullPlan* plan = nullptr);
+
+  /// The decision BuildPartitionPull would make for `cached_tag`, without
+  /// reading the block or stamping pull state; a whole block is sized
+  /// from the parameter block. The simulator calls this at grant time to
+  /// size the per-partition message (and reads at link time), so it also
+  /// folds the decision into the pull.* counters.
+  PiecePullPlan PlanPullPiece(int partition, int worker, int64_t version,
+                              int64_t cached_tag);
 
   /// Read-only global snapshot (no pull stamping) for evaluation.
   std::vector<double> Snapshot() const;
-
-  /// --- Piecewise API (event simulator) ---
-
-  /// Applies one partition's piece of a push. `last_piece` advances the
-  /// clock table (and reports versions to the master). Pieces must already
-  /// be partition-local (from partitioner().SplitByPartition).
-  void PushPiece(int partition, int worker, int clock,
-                 const SparseVector& local_piece, bool last_piece);
-
-  /// Pulls one partition's block (stamping pull state). If
-  /// `version >= 0`, pulls the snapshot at that version.
-  std::vector<double> PullPiece(int partition, int worker,
-                                int64_t version = -1);
-
-  /// Plans one partition of a version-aware pull without materializing:
-  /// compares `cached_tag` against the partition's current content tag
-  /// and reports what a response would ship (patch / sparse / dense
-  /// bytes, 50% rule). Does NOT stamp pull state — the simulator calls
-  /// this at grant time to size messages, then PullPieceTagged at read
-  /// time. `version` as in PullPiece.
-  PiecePullPlan PlanPullPiece(int partition, int worker, int64_t version,
-                              int64_t cached_tag) const;
-
-  /// Accounting hook for callers that size messages via PlanPullPiece
-  /// (the event simulator): folds one planned partition response into the
-  /// pull.* counters so simulated and served pulls share a metric
-  /// namespace.
-  void RecordPlannedPull(const PiecePullPlan& plan);
-
-  /// PullPiece plus the partition's content tag (for client caching).
-  std::vector<double> PullPieceTagged(int partition, int worker,
-                                      int64_t version, int64_t* tag_out);
-
-  /// Current content tag of one partition (no pull stamping).
-  int64_t PartitionTag(int partition) const;
 
   /// --- Introspection ---
 
@@ -320,8 +315,8 @@ class ParameterServer {
 
   std::string DebugString() const;
 
-  /// Tag introspection helpers (used by clients, tests and the wire
-  /// layer; tags are otherwise opaque).
+  /// Tag introspection helpers (used by tests; tags are otherwise
+  /// opaque).
   static bool TagIsVersioned(int64_t tag);
   static int64_t TagValue(int64_t tag);
 
@@ -332,15 +327,23 @@ class ParameterServer {
   void ShutdownApplyPoolForTest();
 
  private:
-  std::vector<double> AssemblePull(int worker, int64_t version);
+  /// Pull responses summed for the pull.* counters.
+  struct PullTally {
+    int64_t hits = 0;
+    int64_t shipped = 0;
+    int64_t patches = 0;
+    int64_t bytes = 0;
+    int64_t bytes_full = 0;
+    void Add(const PiecePullPlan& plan);
+  };
+  void CountPulls(const PullTally& tally);
 
-  /// Applies one already-validated, non-empty partition piece under its
-  /// shard mutex, splitting the timing into ps.push_lock_wait_us (mutex
-  /// acquisition) and ps.push_apply_us (consolidation kernel);
-  /// ps.push_piece_us stays their sum for dashboard compatibility.
-  /// Never touches the clock table.
-  void ApplyPushPiece(int partition, int worker, int clock,
-                      const SparseVector& local_piece);
+  /// Applies one already-validated partition piece under its shard
+  /// mutex, splitting the timing into ps.push_lock_wait_us (mutex
+  /// acquisition) and ps.push_apply_us (consolidation kernel). Never
+  /// touches the clock table.
+  void ApplyPiece(int partition, int worker, int clock,
+                  const SparseVector& local_piece);
 
   /// Runs fn(0..count-1) on the shared apply pool, blocking until all
   /// complete (per-call latch — the pool is shared across concurrent
@@ -371,14 +374,15 @@ class ParameterServer {
   /// the expected versioned bit — i.e. TagValue() is comparable.
   bool TagInCurrentEpoch(int64_t tag, bool versioned) const;
 
-  /// Builds one partition's share of a PullDelta response. Takes only the
-  /// shard mutex (L2); `cmax_now` / `version` / `use_versioned_tags` are
-  /// pre-snapshotted by the caller (L1 before L2 discipline).
-  PartitionPull BuildPartitionPull(int partition, int worker, int cmax_now,
-                                   int64_t version, bool use_versioned_tags,
-                                   int64_t stable_version,
-                                   int64_t cached_tag,
-                                   int64_t* bytes_full_out);
+  /// The pull decision, made with `shard`'s mutex held: mints the
+  /// content tag (versioned for a stable-version read of a rule with
+  /// versioned snapshots, live otherwise) and picks unchanged, patch or
+  /// whole block. With `out` it also stamps the read at `cmax` and fills
+  /// the payload, sizing a whole block from the materialized content;
+  /// without, `worker` and `cmax` are unused and nothing is read.
+  PiecePullPlan DecidePullLocked(ServerShard* shard, int worker, int cmax,
+                                 int64_t version, int64_t cached_tag,
+                                 PartitionPull* out);
 
   /// Lazily creates the shared apply pool (first multi-partition
   /// parallel pull assembly or push apply). Sized for whichever of
@@ -399,7 +403,7 @@ class ParameterServer {
   Master master_;
 
   // Whether the consolidation rule treats empty pushes as no-ops (lets
-  // Push skip filter-emptied pieces). Immutable after construction.
+  // PushPieces skip filter-emptied pieces). Immutable after construction.
   bool empty_push_is_noop_ = false;
   // Whether the rule's MaterializeAtVersion snapshots are genuine and
   // time-invariant at stable versions (deferred DynSGD). Gates the
@@ -436,10 +440,9 @@ class ParameterServer {
   // the hot paths never look up by name). All recording is wait-free.
   MetricsRegistry* metrics_;
   Counter* push_counter_;
-  Counter* push_bytes_;
   // Push wire accounting (names fixed by the obs schema): pieces is the
-  // number of partition-local payloads shipped, bytes_shipped their
-  // sparse wire cost. Counted once per logical push in PushPieces.
+  // number of partition-local payloads applied, bytes_shipped their
+  // sparse wire cost. Counted on every PushPieces call.
   Counter* push_pieces_counter_;
   Counter* push_bytes_shipped_;
   Counter* pull_counter_;
@@ -458,10 +461,8 @@ class ParameterServer {
   Counter* evicted_pushes_dropped_;
   Gauge* blocked_workers_;
   HistogramMetric* admission_wait_us_;
-  // Per-partition push timing: piece_us = lock_wait_us + apply_us (the
-  // sum is kept for dashboard compatibility; the split makes shard-lock
-  // contention visible separately from consolidation kernel time).
-  std::vector<HistogramMetric*> push_piece_us_;      // per partition
+  // Per-partition push timing, split so shard-lock contention shows
+  // separately from consolidation kernel time.
   std::vector<HistogramMetric*> push_lock_wait_us_;  // per partition
   std::vector<HistogramMetric*> push_apply_us_;      // per partition
   std::vector<HistogramMetric*> pull_piece_us_;      // per partition

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <utility>
 
@@ -230,7 +229,10 @@ Status PsClient::Fetch(bool cached, std::vector<double>* replica,
       pulled_bytes_full_ += delta.bytes_full;
     }
     bool mismatch = false;
-    HETPS_RETURN_NOT_OK(ApplyToCache(delta, &mismatch));
+    for (const PartitionPull& piece : delta.partitions) {
+      HETPS_RETURN_NOT_OK(ApplyPartitionPull(
+          layout_->partitioner, piece, &cache_, &cached_tags_, &mismatch));
+    }
     if (!mismatch) {
       *replica = cache_;  // the trainer gets a mutable copy
       *cmin = delta.cmin;
@@ -240,83 +242,6 @@ Status PsClient::Fetch(bool cached, std::vector<double>* replica,
     // whole. One more round trip normally suffices.
   }
   return Status::Internal("pull patch base tags kept mismatching");
-}
-
-Status PsClient::ApplyToCache(const DeltaPullResult& delta,
-                              bool* tag_mismatch) {
-  const Partitioner& part = layout_->partitioner;
-  for (const PartitionPull& pp : delta.partitions) {
-    const int p = pp.partition;
-    if (p < 0 || p >= part.num_partitions()) {
-      return Status::InvalidArgument("piece partition id out of range");
-    }
-    const size_t slot = static_cast<size_t>(p);
-    const int64_t dim_p = part.PartitionDim(p);
-    // Range-based schemes map a partition onto one contiguous global key
-    // interval, so pieces apply at its base offset (dense ones with
-    // memcpy); hash striding falls back to per-key GlobalIndex.
-    int64_t base = 0;
-    const bool contiguous = part.ContiguousKeyRange(p, &base);
-    switch (pp.encoding) {
-      case PartitionPull::Encoding::kUnchanged:
-        // Content tag matched: the pristine copy is already current.
-        break;
-      case PartitionPull::Encoding::kDense:
-        if (pp.dense.size() != static_cast<size_t>(dim_p)) {
-          return Status::InvalidArgument("dense piece has wrong length");
-        }
-        if (contiguous) {
-          std::memcpy(cache_.data() + base, pp.dense.data(),
-                      pp.dense.size() * sizeof(double));
-        } else {
-          for (size_t local = 0; local < pp.dense.size(); ++local) {
-            const int64_t g =
-                part.GlobalIndex(p, static_cast<int64_t>(local));
-            cache_[static_cast<size_t>(g)] = pp.dense[local];
-          }
-        }
-        break;
-      case PartitionPull::Encoding::kSparse:
-      case PartitionPull::Encoding::kSparsePatch: {
-        const bool patch =
-            pp.encoding == PartitionPull::Encoding::kSparsePatch;
-        if (pp.sparse.MinimumDimension() > dim_p) {
-          return Status::InvalidArgument(
-              patch ? "patch piece index out of range"
-                    : "sparse piece index out of range");
-        }
-        if (patch && pp.base_tag != cached_tags_[slot]) {
-          // A patch on state we no longer (or never) held: drop it and
-          // re-pull this partition whole on the caller's retry.
-          *tag_mismatch = true;
-          cached_tags_[slot] = kNoCachedTag;
-          continue;
-        }
-        // A whole block in sparse layout clears the partition's slots
-        // first; a patch overwrites only its keys with current values.
-        const int64_t* idx = pp.sparse.indices().data();
-        const double* val = pp.sparse.values().data();
-        if (contiguous) {
-          double* block = cache_.data() + base;
-          if (!patch) std::fill(block, block + dim_p, 0.0);
-          for (size_t i = 0; i < pp.sparse.nnz(); ++i) block[idx[i]] = val[i];
-        } else {
-          if (!patch) {
-            for (int64_t local = 0; local < dim_p; ++local) {
-              cache_[static_cast<size_t>(part.GlobalIndex(p, local))] = 0.0;
-            }
-          }
-          for (size_t i = 0; i < pp.sparse.nnz(); ++i) {
-            cache_[static_cast<size_t>(part.GlobalIndex(p, idx[i]))] =
-                val[i];
-          }
-        }
-        break;
-      }
-    }
-    cached_tags_[slot] = pp.tag;
-  }
-  return Status::OK();
 }
 
 void PsClient::StartPrefetch(int next_clock) {
@@ -367,20 +292,9 @@ void PsClient::CancelPrefetch() {
   prefetch_clock_ = -1;
 }
 
-Status PsClient::PullRange(int64_t begin, int64_t end,
-                           std::vector<double>* values) {
-  HETPS_RETURN_NOT_OK(Flush());
-  return transport_->PullRange(begin, end, values);
-}
-
 Result<bool> PsClient::CanAdvance(int next_clock) {
   HETPS_RETURN_NOT_OK(Flush());
   return transport_->CanAdvance(next_clock);
-}
-
-Result<int64_t> PsClient::StableVersion() {
-  HETPS_RETURN_NOT_OK(Flush());
-  return transport_->StableVersion();
 }
 
 Status PsClient::ReportClock(int clock, double seconds) {

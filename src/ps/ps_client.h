@@ -54,14 +54,10 @@ class PsTransport {
 
   /// Version-aware pull (ParameterServer::PullDelta); all tags
   /// kNoCachedTag pulls the whole model. A decoding transport checks the
-  /// partition count and encodings; PsClient checks each piece against
-  /// the layout.
+  /// partition count and encodings; ApplyPartitionPull checks each piece
+  /// against the layout.
   virtual Status PullDelta(const std::vector<int64_t>& cached_tags,
                            DeltaPullResult* result) = 0;
-
-  /// Values of keys [begin, end).
-  virtual Status PullRange(int64_t begin, int64_t end,
-                           std::vector<double>* values) = 0;
 
   /// One admission check: may this worker begin `next_clock`?
   virtual Result<bool> CanAdvance(int next_clock) = 0;
@@ -72,8 +68,6 @@ class PsTransport {
   virtual Status WaitUntilCanAdvance(int next_clock,
                                      const std::atomic<bool>* cancel) = 0;
   virtual void WakeWaiters() = 0;
-
-  virtual Result<int64_t> StableVersion() = 0;
 
   /// Feeds this worker's last compute time to the straggler statistics.
   virtual Status ReportClock(int clock, double seconds) = 0;
@@ -181,10 +175,8 @@ class PsClient {
   /// false — leaving `replica` untouched — if no prefetch was started.
   Result<bool> FinishPrefetch(std::vector<double>* replica);
 
-  /// Pass-throughs; the reads drain the push window first.
-  Status PullRange(int64_t begin, int64_t end, std::vector<double>* values);
+  /// Pass-throughs; CanAdvance drains the push window first.
   Result<bool> CanAdvance(int next_clock);
-  Result<int64_t> StableVersion();
   Status ReportClock(int clock, double seconds);
 
   /// Rejoins after an eviction as of `clock` finished clocks. Drains
@@ -239,11 +231,6 @@ class PsClient {
   /// whole-model pull (`cached` false) first resets every tag. Runs on
   /// the owner thread or the prefetch task — never both at once.
   Status Fetch(bool cached, std::vector<double>* replica, int* cmin);
-
-  /// Applies a PullDelta result onto the pristine cache, checking every
-  /// piece against the layout. Sets `*tag_mismatch` when a patch's base
-  /// tag did not match (that partition's tag is reset for the retry).
-  Status ApplyToCache(const DeltaPullResult& delta, bool* tag_mismatch);
 
   /// Cancels and joins an in-flight prefetch (destructor path).
   void CancelPrefetch();

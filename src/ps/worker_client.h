@@ -37,11 +37,6 @@ class InProcessTransport : public PsTransport {
     *result = ps_->PullDelta(worker_, cached_tags);
     return Status::OK();
   }
-  Status PullRange(int64_t begin, int64_t end,
-                   std::vector<double>* values) override {
-    *values = ps_->PullRange(worker_, begin, end);
-    return Status::OK();
-  }
   Result<bool> CanAdvance(int next_clock) override {
     return ps_->CanAdvance(worker_, next_clock);
   }
@@ -52,7 +47,6 @@ class InProcessTransport : public PsTransport {
                : Status::Aborted("admission wait cancelled");
   }
   void WakeWaiters() override { ps_->WakeClockWaiters(); }
-  Result<int64_t> StableVersion() override { return ps_->StableVersion(); }
   Status ReportClock(int /*clock*/, double seconds) override {
     ps_->master()->ReportClockTime(worker_, seconds);
     return Status::OK();

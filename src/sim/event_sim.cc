@@ -1,7 +1,6 @@
 #include "sim/event_sim.h"
 
 #include <algorithm>
-#include <cstring>
 #include <deque>
 #include <queue>
 #include <sstream>
@@ -118,10 +117,10 @@ void EmitSimFlow(char phase, uint64_t flow_id, uint32_t tid,
 }
 
 struct PushPieceMsg {
-  int partition;
   int worker;
   int clock;
-  SparseVector piece;
+  /// One (partition, partition-local piece) pair, as PushPieces takes it.
+  std::vector<std::pair<int, SparseVector>> piece;
   bool last;
   /// Causal-flow correlation, carried only by the last piece (0 =
   /// untraced): the flow minted inside the worker.push slice finishes in
@@ -142,7 +141,6 @@ struct WorkerSim {
   bool evicted = false;
   double pull_request_time = 0.0;
   int pending_next_clock = 0;
-  std::vector<double> pending_pull;
   int pending_cmin = 0;
   // Version limit captured at pull grant (partition sync); -1 = live.
   int64_t pending_pull_version = -1;
@@ -153,10 +151,10 @@ struct WorkerSim {
   // in-flight pushes, oldest first. Monotone because per-pair link FIFO
   // makes a push's last arrival non-decreasing across clocks.
   std::deque<double> outstanding_push_arrivals;
-  // Version-aware pull state (delta_pull): pristine copy of the last
-  // values each partition served, plus the content tags they were served
-  // under. The replica drifts during compute, so unchanged partitions
-  // must be re-read from this cache — never from the replica.
+  // Pristine copy of the last values each partition served, plus the
+  // content tags they were served under (sent back only with
+  // delta_pull). The replica drifts during compute, so unchanged
+  // partitions must be re-read from this cache — never from the replica.
   std::vector<double> pull_cache;
   std::vector<int64_t> cached_tags;
   Rng rng{0};
@@ -216,12 +214,10 @@ class Simulation {
           &dataset, shards[static_cast<size_t>(m)], &loss, &schedule,
           sgd_opts);
       w.replica.assign(static_cast<size_t>(dataset.dimension()), 0.0);
-      if (options.delta_pull) {
-        w.pull_cache.assign(static_cast<size_t>(dataset.dimension()), 0.0);
-        w.cached_tags.assign(
-            static_cast<size_t>(ps_->partitioner().num_partitions()),
-            kNoCachedTag);
-      }
+      w.pull_cache.assign(static_cast<size_t>(dataset.dimension()), 0.0);
+      w.cached_tags.assign(
+          static_cast<size_t>(ps_->partitioner().num_partitions()),
+          kNoCachedTag);
       w.wait_us = GlobalMetrics().histogram(
           "worker.wait_us", {{"worker", std::to_string(m)}});
       w.compute_us = GlobalMetrics().histogram(
@@ -595,8 +591,8 @@ class Simulation {
     }
     for (size_t p = 0; p < pieces.size(); ++p) {
       const int64_t id = next_piece_id_++;
-      PushPieceMsg msg{static_cast<int>(p), worker, w.pending_push_clock,
-                       std::move(pieces[p]), p == last_idx};
+      PushPieceMsg msg{worker, w.pending_push_clock, {}, p == last_idx};
+      msg.piece.emplace_back(static_cast<int>(p), std::move(pieces[p]));
       if (msg.last) {
         msg.flow_id = flow_id;
         msg.send_time = send_at;
@@ -622,8 +618,8 @@ class Simulation {
     // A piece from an evicted worker still arrives here (it was in
     // flight at eviction time); the PS drops it and counts
     // ps.evicted_pushes_dropped.
-    ps_->PushPiece(msg.partition, msg.worker, msg.clock, msg.piece,
-                   msg.last);
+    ps_->PushPieces(msg.worker, msg.clock, msg.piece,
+                    /*finishes_push=*/msg.last);
     if (!msg.last) return;
     if (msg.flow_id != 0) {
       // Server half of the causal link: an rpc.handle slice on the
@@ -632,7 +628,7 @@ class Simulation {
       const uint32_t server_tid =
           kSimServerTidBase +
           static_cast<uint32_t>(
-              ps_->partitioner().ServerOf(msg.partition));
+              ps_->partitioner().ServerOf(msg.piece[0].first));
       EmitSimSpanTid("rpc.handle", server_tid, msg.send_time,
                      now_ - msg.send_time, "worker",
                      static_cast<double>(msg.worker));
@@ -783,10 +779,6 @@ class Simulation {
     // what mixes versions across partitions (Figure 5's desynchrony).
     w.pending_pull_version =
         options_.partition_sync ? ps_->StableVersion() : -1;
-    if (!options_.delta_pull) {
-      w.pending_pull.assign(static_cast<size_t>(dataset_.dimension()),
-                            0.0);
-    }
     double max_arrival = now_;
     const Partitioner& part = ps_->partitioner();
     for (int p = 0; p < part.num_partitions(); ++p) {
@@ -802,7 +794,6 @@ class Simulation {
         const PiecePullPlan plan = ps_->PlanPullPiece(
             p, worker, w.pending_pull_version,
             w.cached_tags[static_cast<size_t>(p)]);
-        ps_->RecordPlannedPull(plan);
         pull_bytes_shipped_ += plan.bytes;
         pull_bytes_full_ += plan.bytes_full;
         content_bytes = static_cast<double>(plan.bytes);
@@ -833,50 +824,31 @@ class Simulation {
 
   void HandlePullPieceRead(int worker, int partition) {
     WorkerSim& w = workers_[static_cast<size_t>(worker)];
-    const Partitioner& part = ps_->partitioner();
-    std::vector<double> block;
-    if (options_.delta_pull) {
-      // Tag-aware read: remember the content tag the read was served
-      // under so the next pull's plan can skip (or delta-ship) this
-      // partition. A push landing between the grant-time plan and this
-      // read makes the tag newer than the plan — exactly the request-
-      // processing race a real service exhibits; the cache stays
-      // coherent because the tag always matches the content read here.
-      int64_t tag = kNoCachedTag;
-      block = ps_->PullPieceTagged(partition, worker,
-                                   w.pending_pull_version, &tag);
-      w.cached_tags[static_cast<size_t>(partition)] = tag;
-    } else {
-      block = ps_->PullPiece(partition, worker, w.pending_pull_version);
-    }
-    std::vector<double>& dst =
-        options_.delta_pull ? w.pull_cache : w.pending_pull;
-    int64_t base = 0;
-    if (part.ContiguousKeyRange(partition, &base)) {
-      // Range-based schemes: the piece lands as one contiguous memcpy.
-      std::memcpy(dst.data() + base, block.data(),
-                  block.size() * sizeof(double));
-      return;
-    }
-    for (size_t local = 0; local < block.size(); ++local) {
-      const int64_t g =
-          part.GlobalIndex(partition, static_cast<int64_t>(local));
-      dst[static_cast<size_t>(g)] = block[local];
-    }
+    // The read answers the tag cached now: a push landing between the
+    // grant-time plan and this read makes the response newer than the
+    // plan — exactly the request-processing race a real service
+    // exhibits; the cache stays coherent because the tag always matches
+    // the content applied here.
+    const int64_t cached = options_.delta_pull
+                               ? w.cached_tags[static_cast<size_t>(partition)]
+                               : kNoCachedTag;
+    const PartitionPull piece = ps_->BuildPartitionPull(
+        partition, worker, w.pending_pull_version, cached);
+    bool tag_mismatch = false;
+    const Status st = ApplyPartitionPull(ps_->partitioner(), piece,
+                                         &w.pull_cache, &w.cached_tags,
+                                         &tag_mismatch);
+    HETPS_CHECK(st.ok() && !tag_mismatch)
+        << "simulated pull piece did not apply: " << st.ToString();
   }
 
   void HandlePullResponse(int worker) {
     WorkerSim& w = workers_[static_cast<size_t>(worker)];
     if (w.evicted) return;
     Beat(worker);
-    if (options_.delta_pull) {
-      // Unchanged partitions keep their cached values; the cache stays
-      // pristine while the replica drifts under local SGD.
-      w.replica = w.pull_cache;
-    } else {
-      w.replica = std::move(w.pending_pull);
-      w.pending_pull.clear();
-    }
+    // Unchanged partitions keep their cached values; the cache stays
+    // pristine while the replica drifts under local SGD.
+    w.replica = w.pull_cache;
     w.cp = w.pending_cmin;
     w.clock += 1;
     Schedule(now_, EventType::kStartClock, worker, 0);

@@ -8,6 +8,7 @@
 #include "core/learning_rate.h"
 #include "data/synthetic.h"
 #include "ps/parameter_server.h"
+#include "ps/worker_client.h"
 #include "sim/event_sim.h"
 #include "util/rng.h"
 
@@ -18,6 +19,14 @@ DynSgdRule DeferredDyn() {
   DynSgdRule::Options opts;
   opts.mode = DynSgdRule::ApplyMode::kDeferred;
   return DynSgdRule(opts);
+}
+
+// A whole-model pull, as a cache-less client issues it.
+std::vector<double> PullWhole(ParameterServer* ps, int worker) {
+  WorkerClient client(worker, ps, /*delta_pull=*/false);
+  std::vector<double> w;
+  EXPECT_TRUE(client.Pull(&w, nullptr).ok());
+  return w;
 }
 
 // Pushes clock `clock` of both workers to every partition of `ps`.
@@ -42,7 +51,8 @@ TEST(PartitionSyncTest, StableVersionCountsCompletedVersionsOnly) {
   PushCompleteClock(&ps, 0, 1.0);
   EXPECT_EQ(ps.StableVersion(), 1);
   // A lone clock-1 piece from one worker does not advance stability.
-  ps.PushPiece(0, 0, 1, SparseVector({0}, {9.0}), false);
+  ps.PushPieces(0, 1, {{0, SparseVector({0}, {9.0})}},
+                /*finishes_push=*/false);
   EXPECT_EQ(ps.StableVersion(), 1);
 }
 
@@ -58,11 +68,12 @@ TEST(PartitionSyncTest, SynchronizedPullIgnoresStragglingPieces) {
   const int hot = ps.partitioner().PartitionOf(0);
   const auto v1 =
       ps.partitioner().SplitByPartition(SparseVector({0}, {100.0}));
-  ps.PushPiece(hot, 0, 1, v1[static_cast<size_t>(hot)], false);
+  ps.PushPieces(0, 1, {{hot, v1[static_cast<size_t>(hot)]}},
+                /*finishes_push=*/false);
 
   // With sync the pull is the consistent clock-0 state: version 0 holds
   // the *mean* of the two workers' 0.5-updates.
-  const auto synced = ps.PullFull(1);
+  const auto synced = PullWhole(&ps, 1);
   for (double v : synced) {
     EXPECT_DOUBLE_EQ(v, 0.5);
   }
@@ -79,8 +90,9 @@ TEST(PartitionSyncTest, UnsynchronizedPullMixesVersions) {
   const int hot = ps.partitioner().PartitionOf(0);
   const auto v1 =
       ps.partitioner().SplitByPartition(SparseVector({0}, {100.0}));
-  ps.PushPiece(hot, 0, 1, v1[static_cast<size_t>(hot)], false);
-  const auto mixed = ps.PullFull(1);
+  ps.PushPieces(0, 1, {{hot, v1[static_cast<size_t>(hot)]}},
+                /*finishes_push=*/false);
+  const auto mixed = PullWhole(&ps, 1);
   // Saw the in-flight clock-1 piece at full transient weight on top of
   // version 0's mean.
   EXPECT_DOUBLE_EQ(mixed[0], 100.5);

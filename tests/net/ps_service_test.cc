@@ -55,18 +55,7 @@ TEST(PsServiceTest, PushAndPullOverTheWire) {
   EXPECT_EQ(cmin, 0);  // worker 1 has not pushed
 }
 
-TEST(PsServiceTest, PullRangeOverTheWire) {
-  RpcHarness h(1, 16);
-  RpcWorkerClient client(0, &h.bus, "ps");
-  ASSERT_TRUE(client.Push(0, SparseVector({3, 12}, {1.0, 4.0})).ok());
-  std::vector<double> window;
-  ASSERT_TRUE(client.PullRange(2, 13, &window).ok());
-  ASSERT_EQ(window.size(), 11u);
-  EXPECT_DOUBLE_EQ(window[1], 1.0);
-  EXPECT_DOUBLE_EQ(window[10], 4.0);
-}
-
-TEST(PsServiceTest, CanAdvanceAndStableVersion) {
+TEST(PsServiceTest, CanAdvanceOverTheWire) {
   RpcHarness h(2, 4, SyncPolicy::Ssp(1));
   RpcWorkerClient client(0, &h.bus, "ps");
   auto admitted = client.CanAdvance(1);
@@ -75,16 +64,14 @@ TEST(PsServiceTest, CanAdvanceAndStableVersion) {
   admitted = client.CanAdvance(2);
   ASSERT_TRUE(admitted.ok());
   EXPECT_FALSE(admitted.value());
-  auto version = client.StableVersion();
-  ASSERT_TRUE(version.ok());
-  EXPECT_EQ(version.value(), 0);
 }
 
 TEST(PsServiceTest, ServerRejectsMalformedRequests) {
   RpcHarness h(1, 4);
-  // Unknown opcodes, the retired push (1) and whole-model pull (2)
-  // included.
-  for (uint8_t op : {uint8_t{250}, uint8_t{1}, uint8_t{2}}) {
+  // Unknown opcodes, the retired push (1), whole-model pull (2), range
+  // pull (3) and stable-version query (5) included.
+  for (uint8_t op :
+       {uint8_t{250}, uint8_t{1}, uint8_t{2}, uint8_t{3}, uint8_t{5}}) {
     SCOPED_TRACE(static_cast<int>(op));
     ByteWriter w;
     w.WriteU8(op);
@@ -95,6 +82,9 @@ TEST(PsServiceTest, ServerRejectsMalformedRequests) {
     uint8_t code = 0;
     ASSERT_TRUE(r.ReadU8(&code).ok());
     EXPECT_NE(code, 0);
+    std::string message;
+    ASSERT_TRUE(r.ReadString(&message).ok());
+    EXPECT_NE(message.find("unknown opcode"), std::string::npos) << message;
   }
   // Truncated push.
   {

@@ -135,7 +135,7 @@ TEST(PushPipelineTest, DuplicateColumnarFrameIsDeduped) {
             0);
   EXPECT_EQ(StatusByteOf(h.bus.BlockingCall("c", "ps", frame, kForever)),
             0);
-  const std::vector<double> state = h.ps.PullFull(0);
+  const std::vector<double> state = h.ps.Snapshot();
   EXPECT_DOUBLE_EQ(state[3], 1.0);  // once, not twice
   EXPECT_DOUBLE_EQ(state[12], 2.0);
   EXPECT_EQ(h.ps.cmin(), 1);
@@ -190,7 +190,7 @@ TEST(PushPipelineTest, MalformedColumnarFramesAreRejectedAtomically) {
               0);
   }
   // Nothing leaked into the store or the clock table.
-  for (double v : h.ps.PullFull(0)) EXPECT_DOUBLE_EQ(v, 0.0);
+  for (double v : h.ps.Snapshot()) EXPECT_DOUBLE_EQ(v, 0.0);
   EXPECT_EQ(h.ps.cmin(), 0);
 }
 

@@ -74,7 +74,7 @@ class ObsEndToEndTest : public ::testing::Test {
     ASSERT_NE(staleness, nullptr) << context;
     EXPECT_NE(staleness->Find("p50"), nullptr) << context;
     EXPECT_NE(staleness->Find("p99"), nullptr) << context;
-    EXPECT_NE(hists->Find("ps.push_piece_us{partition=0}"), nullptr)
+    EXPECT_NE(hists->Find("ps.push_apply_us{partition=0}"), nullptr)
         << context;
     EXPECT_NE(hists->Find("ps.pull_piece_us{partition=0}"), nullptr)
         << context;

@@ -28,11 +28,11 @@ std::string TempPath(const char* name) {
 
 void PopulateLikeARun(MetricsRegistry* reg) {
   reg->counter("ps.push.count")->Increment(12);
-  reg->counter("ps.push.bytes")->Increment(4096);
+  reg->counter("push.bytes_shipped")->Increment(4096);
   reg->gauge("ps.blocked_workers")->Set(1);
   reg->distribution("worker.iter_seconds")->Record(0.25);
   for (int i = 0; i < 100; ++i) {
-    reg->histogram("ps.push_piece_us", {{"partition", "0"}})
+    reg->histogram("ps.push_apply_us", {{"partition", "0"}})
         ->RecordInt(100 + i);
     reg->histogram("worker.staleness", {{"worker", "0"}})->RecordInt(i % 4);
   }

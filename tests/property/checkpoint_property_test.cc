@@ -53,7 +53,7 @@ TEST_P(CheckpointPropertyTest, RoundTripAndContinuationAreExact) {
       if (next_clock[static_cast<size_t>(m)] >= c.clocks) continue;
       target->Push(m, next_clock[static_cast<size_t>(m)],
                    RandomUpdate(r, c.dim));
-      if (r->NextBernoulli(0.4)) target->PullFull(m);
+      if (r->NextBernoulli(0.4)) target->PullDelta(m, {});
     }
   };
   // NOTE: push_some mutates next_clock, so for the continuation phase we

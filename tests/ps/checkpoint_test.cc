@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/dyn_sgd.h"
 #include "util/rng.h"
@@ -29,7 +31,7 @@ void PushTraffic(ParameterServer* ps, int clocks) {
         if (rng.NextBernoulli(0.3)) u.PushBack(j, rng.NextGaussian());
       }
       ps->Push(m, c, u);
-      if (c % 2 == 1) ps->PullFull(m);
+      if (c % 2 == 1) ps->PullDelta(m, {});  // stamps DynSGD pull state
     }
   }
 }
@@ -179,6 +181,113 @@ TEST(CheckpointTest, PreservesSparseLayout) {
   for (int p = 0; p < restored.num_partitions(); ++p) {
     EXPECT_EQ(restored.shard(p).param().is_sparse(),
               ps.shard(p).param().is_sparse());
+  }
+}
+
+std::vector<std::string> Lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream is(text);
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  return lines;
+}
+
+size_t FindLine(const std::vector<std::string>& lines,
+                const std::string& prefix, size_t from = 0) {
+  for (size_t i = from; i < lines.size(); ++i) {
+    if (lines[i].rfind(prefix, 0) == 0) return i;
+  }
+  ADD_FAILURE() << "no line starts with " << prefix;
+  return lines.size();
+}
+
+// Rewrites one "index value index value ..." line of a checkpoint:
+// `out_of_range` sets its last index to `dim` (still increasing, but
+// past the block); otherwise the second entry repeats the first index,
+// so the indices stop increasing.
+std::string CorruptEntries(std::vector<std::string> lines, size_t line,
+                           bool out_of_range, int64_t dim) {
+  std::istringstream in(lines.at(line));
+  std::vector<std::string> tokens;
+  for (std::string t; in >> t;) tokens.push_back(t);
+  EXPECT_GE(tokens.size(), 4u) << "need two entries on line " << line;
+  if (tokens.size() < 4) return "";
+  if (out_of_range) {
+    tokens[tokens.size() - 2] = std::to_string(dim);
+  } else {
+    tokens[2] = tokens[0];
+  }
+  std::string rewritten;
+  for (const std::string& t : tokens) rewritten += t + ' ';
+  lines[line] = rewritten;
+  std::string text;
+  for (const std::string& l : lines) text += l + '\n';
+  return text;
+}
+
+// Loads `corrupted` into a server with its own live state and checks
+// the load fails with IOError and leaves that state as it was.
+void ExpectRejectedUntouched(const ConsolidationRule& rule,
+                             const std::string& corrupted) {
+  ParameterServer target(16, 2, rule, Options());
+  PushTraffic(&target, 2);
+  const std::vector<double> before = target.Snapshot();
+  const int cmin_before = target.cmin();
+  const int64_t pushes_before = target.TotalPushes();
+  std::stringstream is(corrupted);
+  const Status s = target.LoadCheckpoint(is);
+  EXPECT_EQ(s.code(), StatusCode::kIOError) << s.ToString();
+  EXPECT_EQ(target.Snapshot(), before);
+  EXPECT_EQ(target.cmin(), cmin_before);
+  EXPECT_EQ(target.TotalPushes(), pushes_before);
+}
+
+TEST(CheckpointTest, CorruptShardEntriesAreRejectedNotFatal) {
+  // A shard entry index past the partition, or indices that stop
+  // increasing, used to reach ParamBlock / SparseVector CHECKs and
+  // abort the process. Both rules share the shard section.
+  SspRule ssp;
+  DynSgdRule dyn;
+  for (const ConsolidationRule* rule :
+       {static_cast<const ConsolidationRule*>(&ssp),
+        static_cast<const ConsolidationRule*>(&dyn)}) {
+    SCOPED_TRACE(rule->name());
+    ParameterServer source(16, 2, *rule, Options());
+    PushTraffic(&source, 4);
+    std::stringstream buffer;
+    ASSERT_TRUE(source.SaveCheckpoint(buffer).ok());
+    const std::vector<std::string> lines = Lines(buffer.str());
+    const size_t entries = FindLine(lines, "shard 1 ") + 1;
+    for (const bool out_of_range : {true, false}) {
+      SCOPED_TRACE(out_of_range ? "index >= dim" : "not increasing");
+      ExpectRejectedUntouched(
+          *rule, CorruptEntries(lines, entries, out_of_range,
+                                source.partitioner().PartitionDim(1)));
+    }
+  }
+}
+
+TEST(CheckpointTest, CorruptDynSgdVersionEntriesAreRejectedNotFatal) {
+  // The same corruptions inside DynSGD's version summaries.
+  DynSgdRule rule;
+  ParameterServer source(16, 2, rule, Options());
+  PushTraffic(&source, 4);
+  // Worker 0 runs a clock ahead, so its version stays live.
+  std::vector<double> ahead(16, 0.25);
+  source.Push(0, 4, SparseVector::FromDense(ahead));
+  std::stringstream buffer;
+  ASSERT_TRUE(source.SaveCheckpoint(buffer).ok());
+  const std::vector<std::string> lines = Lines(buffer.str());
+  // dyn-state, V(m), counters, version count, then the first version's
+  // header and its entries.
+  const size_t state =
+      FindLine(lines, "dyn-state", FindLine(lines, "shard 0 "));
+  ASSERT_NE(lines.at(state + 3), "0") << "no live version to corrupt";
+  const size_t entries = state + 5;
+  for (const bool out_of_range : {true, false}) {
+    SCOPED_TRACE(out_of_range ? "index >= dim" : "not increasing");
+    ExpectRejectedUntouched(
+        rule, CorruptEntries(lines, entries, out_of_range,
+                             source.partitioner().PartitionDim(0)));
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include "core/dyn_sgd.h"
 #include "obs/metrics.h"
+#include "ps/worker_client.h"
 
 namespace hetps {
 namespace {
@@ -17,6 +18,15 @@ PsOptions SmallOptions() {
   opts.partitions_per_server = 2;
   opts.sync = SyncPolicy::Ssp(1);
   return opts;
+}
+
+// A whole-model pull, as a cache-less client issues it.
+std::vector<double> PullWhole(ParameterServer* ps, int worker,
+                              int* cmin = nullptr) {
+  WorkerClient client(worker, ps, /*delta_pull=*/false);
+  std::vector<double> w;
+  EXPECT_TRUE(client.Pull(&w, cmin).ok());
+  return w;
 }
 
 TEST(ParameterServerTest, PushThenSnapshotRoundTrips) {
@@ -31,13 +41,13 @@ TEST(ParameterServerTest, PushThenSnapshotRoundTrips) {
   EXPECT_DOUBLE_EQ(w[5], 0.0);
 }
 
-TEST(ParameterServerTest, PullFullReturnsAssembledVectorAndCmin) {
+TEST(ParameterServerTest, WholeModelPullReturnsAssembledVectorAndCmin) {
   SspRule rule;
   ParameterServer ps(10, 2, rule, SmallOptions());
   ps.Push(0, 0, SparseVector({3}, {7.0}));
   ps.Push(1, 0, SparseVector({8}, {1.0}));
   int cmin = -1;
-  const auto w = ps.PullFull(0, &cmin);
+  const auto w = PullWhole(&ps, 0, &cmin);
   EXPECT_DOUBLE_EQ(w[3], 7.0);
   EXPECT_DOUBLE_EQ(w[8], 1.0);
   EXPECT_EQ(cmin, 1);  // both workers finished clock 0
@@ -79,27 +89,6 @@ TEST(ParameterServerTest, WaitUntilCanAdvanceWakesOnPush) {
   ps.Push(1, 0, SparseVector({1}, {1.0}));
   waiter.join();
   SUCCEED();
-}
-
-TEST(ParameterServerTest, PullRangeReturnsRequestedWindow) {
-  SspRule rule;
-  ParameterServer ps(20, 1, rule, SmallOptions());
-  ps.Push(0, 0, SparseVector({3, 7, 15}, {1.0, 2.0, 3.0}));
-  const auto window = ps.PullRange(0, 5, 16);
-  ASSERT_EQ(window.size(), 11u);
-  EXPECT_DOUBLE_EQ(window[7 - 5], 2.0);
-  EXPECT_DOUBLE_EQ(window[15 - 5], 3.0);
-  EXPECT_DOUBLE_EQ(window[0], 0.0);
-  // Full-range pull equals the snapshot.
-  EXPECT_EQ(ps.PullRange(0, 0, 20), ps.Snapshot());
-  EXPECT_TRUE(ps.PullRange(0, 4, 4).empty());
-}
-
-TEST(ParameterServerDeathTest, PullRangeValidates) {
-  SspRule rule;
-  ParameterServer ps(20, 1, rule, SmallOptions());
-  EXPECT_DEATH(ps.PullRange(0, 5, 3), "bad key interval");
-  EXPECT_DEATH(ps.PullRange(0, 0, 21), "bad key interval");
 }
 
 TEST(ParameterServerTest, UpdateFilterDropsTinyEntries) {
@@ -201,7 +190,8 @@ TEST(ParameterServerTest, PartitionSyncPullUsesStableVersion) {
     const auto pieces = ps.partitioner().SplitByPartition(
         SparseVector({0, 1}, {1.0, 2.0}));
     for (int p = 0; p < 2; ++p) {
-      ps.PushPiece(p, worker, 0, pieces[static_cast<size_t>(p)], p == 1);
+      ps.PushPieces(worker, 0, {{p, pieces[static_cast<size_t>(p)]}},
+                    /*finishes_push=*/p == 1);
     }
   }
   EXPECT_EQ(ps.StableVersion(), 1);
@@ -210,10 +200,11 @@ TEST(ParameterServerTest, PartitionSyncPullUsesStableVersion) {
   const int hot = ps.partitioner().PartitionOf(0);
   const auto pieces2 =
       ps.partitioner().SplitByPartition(SparseVector({0}, {10.0}));
-  ps.PushPiece(hot, 0, 1, pieces2[static_cast<size_t>(hot)], false);
+  ps.PushPieces(0, 1, {{hot, pieces2[static_cast<size_t>(hot)]}},
+                /*finishes_push=*/false);
   // A synchronized pull serves the consistent clock-0 state, ignoring
   // the in-flight clock-1 fragment.
-  const auto w = ps.PullFull(1);
+  const auto w = PullWhole(&ps, 1);
   EXPECT_DOUBLE_EQ(w[0], 1.0);
   EXPECT_DOUBLE_EQ(w[1], 2.0);
 }

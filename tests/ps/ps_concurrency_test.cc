@@ -25,8 +25,24 @@ PsOptions StressOptions() {
   return opts;
 }
 
-// Regression: SaveCheckpoint took clock_mu_ then shard_mu_[p] while
-// PullPiece took shard_mu_[p] then clock_mu_ (to read cmax for the
+// A whole-model PullDelta, scattered into a dense vector.
+std::vector<double> PullWhole(ParameterServer* ps, int worker) {
+  const DeltaPullResult r = ps->PullDelta(worker, {});
+  std::vector<double> w(static_cast<size_t>(ps->dim()), 0.0);
+  std::vector<int64_t> tags(static_cast<size_t>(ps->num_partitions()),
+                            kNoCachedTag);
+  bool mismatch = false;
+  for (const PartitionPull& piece : r.partitions) {
+    EXPECT_TRUE(
+        ApplyPartitionPull(ps->partitioner(), piece, &w, &tags, &mismatch)
+            .ok());
+  }
+  EXPECT_FALSE(mismatch);
+  return w;
+}
+
+// Regression: SaveCheckpoint took clock_mu_ then shard_mu_[p] while the
+// partition read took shard_mu_[p] then clock_mu_ (to read cmax for the
 // OnPull stamp) — a classic ABBA deadlock under concurrent pulls and
 // checkpoints. Fixed by snapshotting cmax *before* the shard lock.
 // Before the fix this test wedged within a few hundred iterations.
@@ -53,11 +69,11 @@ TEST(PsConcurrencyTest, PullsRaceCheckpointsWithoutDeadlock) {
   for (int m = 0; m < 3; ++m) {
     pullers.emplace_back([&, m] {
       for (int i = 0; i < 400; ++i) {
-        // PullPiece is the shard->clock path that deadlocked.
+        // The partition read is the shard->clock path that deadlocked.
         for (int p = 0; p < ps.num_partitions(); ++p) {
-          ps.PullPiece(p, m);
+          ps.BuildPartitionPull(p, m, /*version=*/-1, kNoCachedTag);
         }
-        ps.PullFull(m);
+        ps.PullDelta(m, {});
       }
     });
   }
@@ -67,9 +83,9 @@ TEST(PsConcurrencyTest, PullsRaceCheckpointsWithoutDeadlock) {
   EXPECT_GT(checkpoints.load(), 0);
 }
 
-// Full-mix stress: concurrent pushes, full pulls, snapshots and
-// checkpoints. Checks invariants loosely (exact values depend on
-// interleaving) but TSan verifies the locking.
+// Full-mix stress: concurrent pushes, cached and whole pulls, single
+// partition reads, snapshots and checkpoints. Checks invariants loosely
+// (exact values depend on interleaving) but TSan verifies the locking.
 TEST(PsConcurrencyTest, ConcurrentPushPullSnapshotCheckpoint) {
   SspRule rule;
   const int kWorkers = 4;
@@ -81,14 +97,24 @@ TEST(PsConcurrencyTest, ConcurrentPushPullSnapshotCheckpoint) {
   for (int m = 0; m < kWorkers; ++m) {
     threads.emplace_back([&, m] {
       Rng rng(100 + m);
+      std::vector<int64_t> tags;
       for (int c = 0; c < kClocks; ++c) {
         SparseVector u;
         for (int64_t j = 0; j < ps.dim(); ++j) {
           if (rng.NextBernoulli(0.1)) u.PushBack(j, 1.0);
         }
         ps.Push(m, c, u);
-        if (c % 5 == 0) ps.PullFull(m);
-        if (c % 7 == 0) ps.PullRange(m, 10, 90);
+        if (c % 5 == 0) {
+          tags.clear();
+          for (const PartitionPull& p : ps.PullDelta(m, tags).partitions) {
+            tags.push_back(p.tag);
+          }
+        }
+        if (c % 3 == 0) ps.PullDelta(m, tags);  // unchanged / patch pieces
+        if (c % 7 == 0) {
+          ps.BuildPartitionPull(c % ps.num_partitions(), m, -1,
+                                kNoCachedTag);
+        }
       }
     });
   }
@@ -138,7 +164,7 @@ TEST(PsConcurrencyTest, RestoreRacesPullsSafely) {
   for (int m = 0; m < 2; ++m) {
     pullers.emplace_back([&, m] {
       while (!stop.load(std::memory_order_relaxed)) {
-        const auto w = ps.PullFull(m);
+        const auto w = PullWhole(&ps, m);
         ASSERT_EQ(w.size(), 32u);
         EXPECT_DOUBLE_EQ(w[1], expected[1]);
         EXPECT_DOUBLE_EQ(w[20], expected[20]);
@@ -198,7 +224,7 @@ TEST(PsConcurrencyTest, EvictReadmitRacesPushers) {
         // Worker 3's pushes may be dropped while it is evicted — that is
         // the point: drops must be silent, counted, and non-corrupting.
         ps.Push(m, c, u);
-        if (c % 9 == 0) ps.PullFull(m);
+        if (c % 9 == 0) ps.PullDelta(m, {});
       }
     });
   }
@@ -271,7 +297,7 @@ TEST(PsConcurrencyTest, PoolSizeEdgeConfigsAgree) {
     ParameterServer ps(96, 2, rule, opts);
     ps.Push(0, 0, SparseVector({0, 50, 95}, {1.0, 2.0, 3.0}));
     ps.Push(1, 0, SparseVector({1, 60}, {4.0, 5.0}));
-    const std::vector<double> pulled = ps.PullFull(0);
+    const std::vector<double> pulled = PullWhole(&ps, 0);
     ASSERT_EQ(pulled.size(), 96u);
     if (reference.empty()) {
       reference = pulled;
@@ -307,8 +333,9 @@ TEST(PsConcurrencyTest, SharedPoolServesPullsAndPushApplies) {
           if (rng.NextBernoulli(0.1)) u.PushBack(j, 0.5);
         }
         ps.Push(m, c, u);  // parallel piece apply on the shared pool
-        if (c % 3 == 0) {
-          ASSERT_EQ(ps.PullFull(m).size(), 128u);  // parallel assembly
+        if (c % 3 == 0) {  // parallel partition reads
+          ASSERT_EQ(ps.PullDelta(m, {}).partitions.size(),
+                    static_cast<size_t>(ps.num_partitions()));
         }
       }
     });
@@ -318,7 +345,7 @@ TEST(PsConcurrencyTest, SharedPoolServesPullsAndPushApplies) {
   EXPECT_EQ(ps.cmax(), kClocks);
 }
 
-// Regression (the AssemblePull silent-drop bug): when the pool refuses
+// Regression (the parallel-pull silent-drop bug): when the pool refuses
 // work — here, after an explicit shutdown — parallel pulls and push
 // applies must degrade to inline execution, not drop partitions. Before
 // the fix a refused Submit left assembled partitions zeroed and the
@@ -335,7 +362,7 @@ TEST(PsConcurrencyTest, PoolShutdownDegradesToInlineExecution) {
   ps.ShutdownApplyPoolForTest();
 
   // Pull after shutdown: every partition must still materialize.
-  const std::vector<double> pulled = ps.PullFull(0);
+  const std::vector<double> pulled = PullWhole(&ps, 0);
   ASSERT_EQ(pulled.size(), 64u);
   EXPECT_DOUBLE_EQ(pulled[0], 1.0);
   EXPECT_DOUBLE_EQ(pulled[33], 2.0);
@@ -344,7 +371,7 @@ TEST(PsConcurrencyTest, PoolShutdownDegradesToInlineExecution) {
   // Push after shutdown: pieces apply inline, the clock still advances.
   ps.Push(0, 1, SparseVector({5, 40}, {1.0, 1.0}));
   EXPECT_EQ(ps.cmin(), 2);
-  const std::vector<double> after = ps.PullFull(0);
+  const std::vector<double> after = PullWhole(&ps, 0);
   EXPECT_DOUBLE_EQ(after[5], 1.0);
   EXPECT_DOUBLE_EQ(after[40], 1.0);
 }
