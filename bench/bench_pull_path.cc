@@ -260,8 +260,8 @@ int main(int argc, char** argv) {
   }
   // Cross-run ratio: the full-model run's dense shipping cost over what
   // the tag-aware run actually shipped. (sim[1].pull_bytes_full is NOT
-  // the right baseline — WirePayloadBytes already credits the sparse
-  // layout to both sides.)
+  // the right baseline — a planned whole block already credits the
+  // sparse layout to both sides.)
   const double sim_reduction =
       sim[1].pull_bytes_shipped > 0
           ? static_cast<double>(sim[0].pull_bytes_shipped) /

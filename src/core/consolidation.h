@@ -56,6 +56,12 @@ class ConsolidationRule {
   virtual std::vector<double> MaterializeAtVersion(const ParamBlock& w,
                                                    int64_t version) const;
 
+  /// True if Materialize and MaterializeAtVersion return `w` as it
+  /// stands (w.ToDense(), the defaults). The partition read then serves
+  /// the block from `w` in place. A rule that overrides either to add
+  /// state of its own must return false.
+  virtual bool MaterializesParamBlock() const { return true; }
+
   /// Number of global-update versions this partition has created. 0 for
   /// single-version rules.
   virtual int64_t CurrentVersion() const { return 0; }

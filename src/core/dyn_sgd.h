@@ -76,6 +76,10 @@ class DynSgdRule final : public ConsolidationRule {
   std::vector<double> Materialize(const ParamBlock& w) const override;
   std::vector<double> MaterializeAtVersion(const ParamBlock& w,
                                            int64_t version) const override;
+  /// Deferred mode adds the live version summaries to w.
+  bool MaterializesParamBlock() const override {
+    return options_.mode == ApplyMode::kImmediate;
+  }
   int64_t CurrentVersion() const override { return next_version_; }
   int64_t CompletedVersionCount() const override;
   size_t AuxMemoryBytes() const override;

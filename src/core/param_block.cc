@@ -115,9 +115,7 @@ void ParamBlock::Clear() {
 size_t ParamBlock::CountNonZero(double epsilon) const {
   size_t n = 0;
   if (layout_ == Layout::kDense) {
-    for (double v : dense_) {
-      if (std::fabs(v) > epsilon) ++n;
-    }
+    for (double v : dense_) n += std::fabs(v) > epsilon;
   } else {
     for (const auto& kv : sparse_) {
       if (std::fabs(kv.second) > epsilon) ++n;

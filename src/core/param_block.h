@@ -43,6 +43,11 @@ class ParamBlock {
   /// this *= scale.
   void Scale(double scale);
 
+  /// The dense layout's dim() values; nullptr in the sparse layout.
+  const double* dense_data() const {
+    return layout_ == Layout::kDense ? dense_.data() : nullptr;
+  }
+
   /// Point read; O(1) dense, expected O(1) sparse.
   double At(size_t i) const;
 

@@ -1,6 +1,7 @@
 #include "math/kernels.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -71,6 +72,18 @@ HETPS_SCALAR_FN double SquaredDistanceScalar(const double* x,
     acc += d * d;
   }
   return acc;
+}
+
+HETPS_SCALAR_FN size_t CountNonZeroScalar(const double* x, size_t n,
+                                          size_t* kept) {
+  size_t nonzero = 0;
+  size_t above = 0;
+  for (size_t i = 0; i < n; ++i) {
+    nonzero += x[i] != 0.0;
+    above += std::fabs(x[i]) > 0.0;
+  }
+  *kept = above;
+  return nonzero;
 }
 
 HETPS_SCALAR_FN double GatherDotScalar(const int64_t* idx,
@@ -231,6 +244,46 @@ __attribute__((target("avx2,fma"))) double SquaredDistanceAvx2(
   return acc;
 }
 
+__attribute__((target("avx2,fma"))) size_t CountNonZeroAvx2(
+    const double* x, size_t n, size_t* kept) {
+  // A true compare lane is all ones (-1 as int64), so subtracting the
+  // mask counts it. Unordered not-equal is true for NaN, ordered
+  // not-equal false; both are false for +-0.
+  const __m256d zero = _mm256_setzero_pd();
+  __m256i nonzero0 = _mm256_setzero_si256();
+  __m256i nonzero1 = _mm256_setzero_si256();
+  __m256i above0 = _mm256_setzero_si256();
+  __m256i above1 = _mm256_setzero_si256();
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256d v0 = _mm256_loadu_pd(x + i);
+    const __m256d v1 = _mm256_loadu_pd(x + i + 4);
+    nonzero0 = _mm256_sub_epi64(
+        nonzero0, _mm256_castpd_si256(_mm256_cmp_pd(v0, zero, _CMP_NEQ_UQ)));
+    nonzero1 = _mm256_sub_epi64(
+        nonzero1, _mm256_castpd_si256(_mm256_cmp_pd(v1, zero, _CMP_NEQ_UQ)));
+    above0 = _mm256_sub_epi64(
+        above0, _mm256_castpd_si256(_mm256_cmp_pd(v0, zero, _CMP_NEQ_OQ)));
+    above1 = _mm256_sub_epi64(
+        above1, _mm256_castpd_si256(_mm256_cmp_pd(v1, zero, _CMP_NEQ_OQ)));
+  }
+  int64_t lanes[4];
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes),
+                      _mm256_add_epi64(nonzero0, nonzero1));
+  size_t nonzero = static_cast<size_t>(lanes[0] + lanes[1] + lanes[2] +
+                                       lanes[3]);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes),
+                      _mm256_add_epi64(above0, above1));
+  size_t above = static_cast<size_t>(lanes[0] + lanes[1] + lanes[2] +
+                                     lanes[3]);
+  for (; i < n; ++i) {
+    nonzero += x[i] != 0.0;
+    above += std::fabs(x[i]) > 0.0;
+  }
+  *kept = above;
+  return nonzero;
+}
+
 __attribute__((target("avx2,fma"))) double GatherDotAvx2(
     const int64_t* idx, const double* val, size_t nnz,
     const double* dense) {
@@ -309,6 +362,7 @@ struct KernelTable {
   void (*scale)(double, double*, size_t);
   double (*squared_norm)(const double*, size_t);
   double (*squared_distance)(const double*, const double*, size_t);
+  size_t (*count_nonzero)(const double*, size_t, size_t*);
   double (*gather_dot)(const int64_t*, const double*, size_t,
                        const double*);
   void (*gather)(const int64_t*, size_t, const double*, double*);
@@ -317,16 +371,16 @@ struct KernelTable {
 };
 
 constexpr KernelTable kScalarTable = {
-    AxpyScalar,       DotScalar,          ScaleScalar,
-    SquaredNormScalar, SquaredDistanceScalar, GatherDotScalar,
-    GatherScalar,     ScatterAxpyScalar,
+    AxpyScalar,        DotScalar,          ScaleScalar,
+    SquaredNormScalar, SquaredDistanceScalar, CountNonZeroScalar,
+    GatherDotScalar,   GatherScalar,       ScatterAxpyScalar,
 };
 
 #if HETPS_KERNELS_X86
 constexpr KernelTable kAvx2Table = {
-    AxpyAvx2,       DotAvx2,          ScaleAvx2,
-    SquaredNormAvx2, SquaredDistanceAvx2, GatherDotAvx2,
-    GatherAvx2,     ScatterAxpyAvx2,
+    AxpyAvx2,        DotAvx2,          ScaleAvx2,
+    SquaredNormAvx2, SquaredDistanceAvx2, CountNonZeroAvx2,
+    GatherDotAvx2,   GatherAvx2,       ScatterAxpyAvx2,
 };
 #endif
 
@@ -446,6 +500,10 @@ double SquaredNorm(const double* x, size_t n) {
 
 double SquaredDistance(const double* x, const double* y, size_t n) {
   return T().squared_distance(x, y, n);
+}
+
+size_t CountNonZero(const double* x, size_t n, size_t* kept) {
+  return T().count_nonzero(x, n, kept);
 }
 
 double GatherDot(const int64_t* idx, const double* val, size_t nnz,

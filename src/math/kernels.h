@@ -82,6 +82,10 @@ double SquaredNorm(const double* x, size_t n);
 /// sum_i (x[i] - y[i])^2
 double SquaredDistance(const double* x, const double* y, size_t n);
 
+/// Number of x[i] != 0.0 (NaN counts); `*kept` receives the number with
+/// |x[i]| > 0 (NaN does not). Counts are exact on every table.
+size_t CountNonZero(const double* x, size_t n, size_t* kept);
+
 // ---------------------------------------------------------------------
 // Sparse kernels. idx/val hold nnz entries; every idx[i] must be a valid
 // offset into the dense operand (callers hoist the O(1) range check —

@@ -22,12 +22,32 @@ SparseVector::SparseVector(std::vector<int64_t> indices,
 
 SparseVector SparseVector::FromDense(const std::vector<double>& dense,
                                      double epsilon) {
+  // Count first, so the fill writes arrays of the final size.
+  size_t nnz = 0;
+  for (double v : dense) nnz += std::fabs(v) > epsilon;
+  return FromDense(dense.data(), dense.size(), nnz, epsilon);
+}
+
+SparseVector SparseVector::FromDense(const double* dense, size_t n,
+                                     size_t nnz, double epsilon) {
   SparseVector out;
-  for (size_t i = 0; i < dense.size(); ++i) {
-    if (std::fabs(dense[i]) > epsilon) {
-      out.PushBack(static_cast<int64_t>(i), dense[i]);
-    }
+  out.indices_.resize(nnz);
+  out.values_.resize(nnz);
+  int64_t* indices = out.indices_.data();
+  double* values = out.values_.data();
+  // Every entry is written to the next free slot, which advances only
+  // past a kept one. The fill stops at the last kept entry, so no write
+  // lands beyond nnz; the tail is only counted.
+  size_t k = 0;
+  size_t i = 0;
+  for (; i < n && k < nnz; ++i) {
+    indices[k] = static_cast<int64_t>(i);
+    values[k] = dense[i];
+    k += std::fabs(dense[i]) > epsilon;
   }
+  for (; i < n; ++i) k += std::fabs(dense[i]) > epsilon;
+  HETPS_CHECK(k == nnz) << "FromDense expected " << nnz
+                        << " entries above epsilon, found " << k;
   return out;
 }
 

@@ -24,6 +24,12 @@ class SparseVector {
   static SparseVector FromDense(const std::vector<double>& dense,
                                 double epsilon = 0.0);
 
+  /// FromDense over the `n` values at `dense`, of which the caller has
+  /// counted `nnz` with |x| > epsilon. Fills arrays of exactly that size
+  /// in one branch-free pass; check-fails if the count is wrong.
+  static SparseVector FromDense(const double* dense, size_t n, size_t nnz,
+                                double epsilon = 0.0);
+
   /// Appends an entry; index must be greater than the last one.
   void PushBack(int64_t index, double value);
 

@@ -674,23 +674,19 @@ Result<PsLayout> BusTransport::Layout() {
 Status BusTransport::Push(int clock, const SparseVector& update,
                           const Partitioner& layout) {
   // Columnar frame: per-partition pieces with local indices, so the
-  // service can route each piece straight to its shard. Empty pieces are
-  // elided (the frame carries explicit partition ids); an all-empty push
-  // still ships — the server must advance the clock table.
+  // service can route each piece straight to its shard. Every piece
+  // ships, empty ones included: to DynSGD an empty piece is the "worker
+  // finished this clock here" marker, and PushPieces is the one place
+  // that skips empty pieces for the rules that may.
   const std::vector<SparseVector> pieces = layout.SplitByPartition(update);
-  uint64_t kept = 0;
-  for (const SparseVector& piece : pieces) {
-    if (!piece.empty()) ++kept;
-  }
-  // Header, then per kept piece an id, a count and the entries.
+  // Header, then per piece an id, a count and the entries.
   ByteWriter w;
-  w.Reserve(25 + 16 * (kept + update.nnz()));
+  w.Reserve(25 + 16 * (pieces.size() + update.nnz()));
   w.WriteU8(static_cast<uint8_t>(PsOpCode::kPushColumnar));
   w.WriteI64(worker_id_);
   w.WriteI64(clock);
-  w.WriteU64(kept);
+  w.WriteU64(pieces.size());
   for (size_t p = 0; p < pieces.size(); ++p) {
-    if (pieces[p].empty()) continue;
     w.WriteI64(static_cast<int64_t>(p));
     w.WriteSparseVector(pieces[p]);
   }

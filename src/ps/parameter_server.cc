@@ -7,6 +7,7 @@
 #include <sstream>
 #include <thread>
 
+#include "math/kernels.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -55,18 +56,13 @@ constexpr int64_t kTagValueMask = (int64_t{1} << kTagValueBits) - 1;
 constexpr int64_t kTagVersionedBit = int64_t{1} << 61;
 constexpr int64_t kTagEpochMask = (int64_t{1} << 14) - 1;
 
-/// Content bytes of a materialized dense block under the 50% rule:
-/// sparse (16 B/nonzero) when less than half full, dense (8 B/key)
-/// otherwise. Mirrors ServerShard::WirePayloadBytes for a vector we
-/// already hold.
-int64_t MaterializedWireBytes(const std::vector<double>& block) {
-  size_t nnz = 0;
-  for (double v : block) {
-    if (v != 0.0) ++nnz;
-  }
-  const int64_t dense = static_cast<int64_t>(block.size()) *
-                        static_cast<int64_t>(sizeof(double));
-  return std::min(dense, SparseBytes(nnz));
+/// Content bytes of a whole block of `dim` keys with `nnz` nonzeros
+/// under the 50% rule: sparse (16 B/nonzero) when less than half full,
+/// dense (8 B/key) otherwise.
+int64_t WholeBlockBytes(size_t dim, size_t nnz) {
+  return std::min(static_cast<int64_t>(dim) *
+                      static_cast<int64_t>(sizeof(double)),
+                  SparseBytes(nnz));
 }
 
 }  // namespace
@@ -490,7 +486,22 @@ PiecePullPlan ParameterServer::DecidePullLocked(ServerShard* shard,
   PiecePullPlan plan;
   plan.tag = versioned ? MakeTag(true, version)
                        : MakeTag(false, shard->data_version());
-  plan.bytes_full = shard->WirePayloadBytes();
+  // The parameter block w sizes bytes_full. When the rule serves w as it
+  // stands and w is stored dense, the whole-block read works on w in
+  // place, and this one count of w also picks the layout and sizes the
+  // emit. A served block counts x != 0.0 (NaN included); the sparse
+  // layout and bytes_full count |x| > 0 (`kept`, NaN excluded).
+  const ParamBlock& w = shard->param();
+  const bool in_place =
+      shard->rule().MaterializesParamBlock() && w.dense_data() != nullptr;
+  size_t nonzero = 0;
+  size_t kept = 0;
+  if (in_place) {
+    nonzero = kernels::CountNonZero(w.dense_data(), w.dim(), &kept);
+    plan.bytes_full = WholeBlockBytes(w.dim(), kept);
+  } else {
+    plan.bytes_full = WholeBlockBytes(w.dim(), w.CountNonZero());
+  }
   if (out != nullptr) out->tag = plan.tag;
   if (cached_tag == plan.tag) {
     // Cache hit: the client's copy is byte-identical. Still a read at
@@ -507,17 +518,19 @@ PiecePullPlan ParameterServer::DecidePullLocked(ServerShard* shard,
   // values at the keys written since the cached tag — gathered under the
   // caller's shard lock, so they match plan.tag exactly. Delta logs
   // exist only for support-local rules, whose materialized block is the
-  // parameter block itself.
+  // parameter block itself. A patch of k keys wins iff SparseBytes(k) <
+  // bytes_full, so the union is given up at ceil(bytes_full / 16) keys.
+  const size_t key_limit = static_cast<size_t>(
+      (plan.bytes_full + SparseBytes(1) - 1) / SparseBytes(1));
   std::vector<int64_t> keys;
   if (!versioned && TagInCurrentEpoch(cached_tag, /*versioned=*/false) &&
-      shard->DeltaSince(TagValue(cached_tag), &keys) &&
-      SparseBytes(keys.size()) < plan.bytes_full) {
+      shard->DeltaSince(TagValue(cached_tag), key_limit, &keys)) {
     plan.patch = true;
     plan.bytes = SparseBytes(keys.size());
     if (out != nullptr) {
       shard->StampPull(worker, cmax);
       std::vector<double> values(keys.size());
-      shard->param().Gather(keys.data(), keys.size(), values.data());
+      w.Gather(keys.data(), keys.size(), values.data());
       out->encoding = PartitionPull::Encoding::kSparsePatch;
       out->base_tag = cached_tag;
       out->sparse = SparseVector(std::move(keys), std::move(values));
@@ -526,20 +539,31 @@ PiecePullPlan ParameterServer::DecidePullLocked(ServerShard* shard,
   }
   plan.bytes = plan.bytes_full;
   if (out == nullptr) return plan;
-  // Whole-block ship: materialize, then pick the cheaper layout
-  // (ParamBlock's 50% rule applied to the materialized content).
-  std::vector<double> block =
-      version >= 0 ? shard->PullAtVersion(worker, cmax, version)
-                   : shard->Pull(worker, cmax);
-  const int64_t dense_bytes = static_cast<int64_t>(block.size()) *
-                              static_cast<int64_t>(sizeof(double));
-  plan.bytes = MaterializedWireBytes(block);
-  if (plan.bytes < dense_bytes) {
+  // Whole-block ship in whichever layout is smaller (ParamBlock's 50%
+  // rule applied to the served content): the kept entries straight into
+  // exact-size sparse arrays, or one dense copy. Without in-place
+  // service the rule materializes the block and it is counted here.
+  std::vector<double> block;
+  const double* values = w.dense_data();
+  if (in_place) {
+    shard->StampPull(worker, cmax);
+  } else {
+    block = version >= 0 ? shard->PullAtVersion(worker, cmax, version)
+                         : shard->Pull(worker, cmax);
+    values = block.data();
+    nonzero = kernels::CountNonZero(values, block.size(), &kept);
+  }
+  plan.bytes = WholeBlockBytes(w.dim(), nonzero);
+  if (plan.bytes < static_cast<int64_t>(w.dim() * sizeof(double))) {
     out->encoding = PartitionPull::Encoding::kSparse;
-    out->sparse = SparseVector::FromDense(block);
+    out->sparse = SparseVector::FromDense(values, w.dim(), kept);
   } else {
     out->encoding = PartitionPull::Encoding::kDense;
-    out->dense = std::move(block);
+    if (in_place) {
+      out->dense.assign(values, values + w.dim());
+    } else {
+      out->dense = std::move(block);
+    }
   }
   return plan;
 }

@@ -1,7 +1,7 @@
 #include "ps/server_shard.h"
 
 #include <algorithm>
-#include <iterator>
+#include <bit>
 
 #include "util/logging.h"
 
@@ -45,38 +45,50 @@ void ServerShard::AppendKeys(std::vector<int64_t> keys) {
   }
 }
 
-bool ServerShard::DeltaSince(int64_t from_version,
-                             std::vector<int64_t>* keys) const {
+bool ServerShard::DeltaSince(int64_t from_version, size_t key_limit,
+                             std::vector<int64_t>* keys) {
   HETPS_CHECK(keys != nullptr) << "null key output";
   if (!track_deltas_) return false;
   if (from_version > data_version_) return false;  // alien tag
   keys->clear();
-  if (from_version == data_version_) return true;
+  if (from_version == data_version_) return key_limit > 0;
   // The log holds consecutive versions ending at data_version_; it can
   // cover (from_version, data_version_] iff its oldest entry is
   // from_version + 1.
   if (delta_log_.empty() || delta_log_.front().version > from_version + 1) {
     return false;
   }
-  std::vector<int64_t> merged;
-  for (const LoggedPush& push : delta_log_) {
-    if (push.version <= from_version) continue;
-    merged.clear();
-    std::set_union(keys->begin(), keys->end(), push.keys.begin(),
-                   push.keys.end(), std::back_inserter(merged));
-    keys->swap(merged);
+  if (union_bits_.empty()) union_bits_.assign((dim() + 63) / 64, 0);
+  // Mark each push's keys, counting first sightings, and stop at the
+  // push that takes the union to the limit. [lo, hi) bounds the words
+  // touched, so emitting or clearing never scans the whole bitmap.
+  size_t count = 0;
+  size_t lo = union_bits_.size();
+  size_t hi = 0;
+  const auto first = delta_log_.begin() + (from_version + 1 -
+                                           delta_log_.front().version);
+  for (auto it = first; it != delta_log_.end() && count < key_limit; ++it) {
+    const std::vector<int64_t>& pushed = it->keys;
+    if (pushed.empty()) continue;
+    lo = std::min(lo, static_cast<size_t>(pushed.front()) / 64);
+    hi = std::max(hi, static_cast<size_t>(pushed.back()) / 64 + 1);
+    for (int64_t key : pushed) {
+      uint64_t& word = union_bits_[static_cast<size_t>(key) / 64];
+      const uint64_t bit = uint64_t{1} << (key % 64);
+      count += (word & bit) == 0;
+      word |= bit;
+    }
   }
-  return true;
-}
-
-int64_t ServerShard::WirePayloadBytes() const {
-  const int64_t dense_bytes =
-      static_cast<int64_t>(param_.dim()) *
-      static_cast<int64_t>(sizeof(double));
-  const int64_t sparse_bytes =
-      static_cast<int64_t>(param_.CountNonZero()) *
-      static_cast<int64_t>(sizeof(int64_t) + sizeof(double));
-  return std::min(dense_bytes, sparse_bytes);
+  const bool fits = count < key_limit;
+  if (fits) keys->reserve(count);
+  for (size_t w = lo; w < hi; ++w) {
+    uint64_t bits = union_bits_[w];
+    union_bits_[w] = 0;
+    for (; fits && bits != 0; bits &= bits - 1) {
+      keys->push_back(static_cast<int64_t>(w * 64) + std::countr_zero(bits));
+    }
+  }
+  return fits;
 }
 
 std::vector<double> ServerShard::Pull(int worker, int cmax) {

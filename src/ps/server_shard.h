@@ -30,6 +30,8 @@ namespace hetps {
 /// DeltaSince() unions the log into the keys changed in
 /// (from_version, data_version], so a pull can ship the *current* values
 /// at just those keys instead of the whole block when that is smaller.
+/// The union is built in a per-shard bitmap, so DeltaSince — like every
+/// other call — must run under the caller's serialization.
 class ServerShard {
  public:
   /// `rule_proto` is cloned; `dim` is the partition-local dimension.
@@ -77,16 +79,13 @@ class ServerShard {
   void set_data_version(int64_t v) { data_version_ = v; }
 
   /// Sorted union of the keys pushed in (from_version, data_version()]
-  /// — a superset of the keys whose value changed. Returns false when
-  /// the log does not reach back to `from_version` (evicted, disabled, or
-  /// rule not delta-capable); the caller must ship the whole block
-  /// instead.
-  bool DeltaSince(int64_t from_version, std::vector<int64_t>* keys) const;
-
-  /// Content bytes of a whole-block ship under the ParamBlock 50% rule:
-  /// min(dense 8 B/key, sparse 16 B/nonzero). Used by the simulator's
-  /// comm model to size pull responses without materializing.
-  int64_t WirePayloadBytes() const;
+  /// — a superset of the keys whose value changed — if it holds fewer
+  /// than `key_limit` keys. Returns false when it does not (the union
+  /// stops growing at the push that reaches the limit), or when the log
+  /// does not reach back to `from_version` (evicted, disabled, or rule
+  /// not delta-capable); the caller must ship the whole block instead.
+  bool DeltaSince(int64_t from_version, size_t key_limit,
+                  std::vector<int64_t>* keys);
 
   /// Versions created on this partition.
   int64_t CurrentVersion() const { return rule_->CurrentVersion(); }
@@ -135,6 +134,9 @@ class ServerShard {
   int delta_log_depth_ = 0;
   size_t delta_log_keys_ = 0;
   std::deque<LoggedPush> delta_log_;
+  // DeltaSince's union, one bit per key; all zero between calls.
+  // Allocated on the first union.
+  std::vector<uint64_t> union_bits_;
 };
 
 }  // namespace hetps

@@ -276,6 +276,34 @@ TEST_P(KernelParityTest, SquaredDistance) {
   }
 }
 
+TEST_P(KernelParityTest, CountNonZero) {
+  // Zeros of both signs, NaN, infinities and denormals at random slots;
+  // both counts are exact on every table.
+  const double specials[] = {0.0, -0.0, kNan, -kNan, kInf, -kInf,
+                             kDenorm, -kDenorm, 1.0};
+  Rng rng(606 + GetParam());
+  for (KernelIsa isa : TestableIsas()) {
+    for (size_t n : kSizes) {
+      std::vector<double> buf(n + 1);
+      for (double& v : buf) {
+        v = rng.NextBernoulli(0.5) ? specials[rng.NextUint64(9)]
+                                   : rng.NextDouble() - 0.5;
+      }
+      const double* x = buf.data() + offset();
+      size_t expect_nonzero = 0;
+      size_t expect_kept = 0;
+      for (size_t i = 0; i < n; ++i) {
+        if (x[i] != 0.0) ++expect_nonzero;
+        if (std::fabs(x[i]) > 0.0) ++expect_kept;
+      }
+      ScopedIsa forced(isa);
+      size_t kept = 0;
+      EXPECT_EQ(CountNonZero(x, n, &kept), expect_nonzero) << "n=" << n;
+      EXPECT_EQ(kept, expect_kept) << "n=" << n;
+    }
+  }
+}
+
 TEST_P(KernelParityTest, GatherDot) {
   Rng rng(606 + GetParam());
   constexpr size_t kDim = 512;
@@ -378,6 +406,9 @@ TEST(KernelSpecialsTest, EmptyInputsAreNoOps) {
     EXPECT_EQ(Dot(nullptr, nullptr, 0), 0.0);
     EXPECT_EQ(SquaredNorm(nullptr, 0), 0.0);
     EXPECT_EQ(SquaredDistance(nullptr, nullptr, 0), 0.0);
+    size_t kept = 1;
+    EXPECT_EQ(CountNonZero(nullptr, 0, &kept), 0u);
+    EXPECT_EQ(kept, 0u);
     EXPECT_EQ(GatherDot(nullptr, nullptr, 0, nullptr), 0.0);
     Axpy(2.0, nullptr, nullptr, 0);
     Scale(2.0, nullptr, 0);

@@ -55,6 +55,35 @@ TEST(PsServiceTest, PushAndPullOverTheWire) {
   EXPECT_EQ(cmin, 0);  // worker 1 has not pushed
 }
 
+TEST(PsServiceTest, EmptyPiecesShipSoDynSgdVersionsComplete) {
+  // To DynSGD an empty partition piece is the "worker finished this
+  // clock here" marker (§6). Two workers each push only key 0 at clock
+  // 0, which leaves every other partition's piece empty; the stable
+  // version must complete over the bus exactly as it does in process.
+  DynSgdRule::Options dyn;
+  dyn.mode = DynSgdRule::ApplyMode::kDeferred;
+  const DynSgdRule rule(dyn);
+  PsOptions opts;
+  opts.num_servers = 2;
+  opts.partitions_per_server = 2;
+  opts.sync = SyncPolicy::Asp();
+  opts.partition_sync = true;
+  ParameterServer local(16, 2, rule, opts);
+  ParameterServer served(16, 2, rule, opts);
+  MessageBus bus;
+  PsService service(&served, &bus, "ps");
+  ASSERT_TRUE(service.status().ok());
+  for (int m = 0; m < 2; ++m) {
+    const SparseVector update({0}, {1.0});
+    local.Push(m, 0, update);
+    RpcWorkerClient client(m, &bus, "ps");
+    ASSERT_TRUE(client.Push(0, update).ok());
+  }
+  EXPECT_EQ(local.StableVersion(), 1);
+  EXPECT_EQ(served.StableVersion(), local.StableVersion());
+  EXPECT_EQ(served.cmin(), 1);
+}
+
 TEST(PsServiceTest, CanAdvanceOverTheWire) {
   RpcHarness h(2, 4, SyncPolicy::Ssp(1));
   RpcWorkerClient client(0, &h.bus, "ps");
