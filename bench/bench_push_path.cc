@@ -79,7 +79,6 @@ RpcRunStats RunRpcWorkload(const Dataset& dataset, int push_window) {
   options.eval_sample = 200;
   options.delta_pull = true;
   options.push_window = push_window;
-  options.push_parallelism = 2;
   options.injected_compute_delay =
       std::vector<double>(kWorkers, kComputeDelay);
   // Fixed in-transit delay on every request; identical for both window

@@ -7,7 +7,7 @@
 //                        [--partitions=2] [--scheme=range|hash|rangehash]
 //                        [--update_filter=0] [--lr=0.3] [--decay] [--l2=1e-4]
 //                        [--batch-fraction=0.1] [--synthetic=url|ctr]
-//                        [--push_window=0] [--push_parallelism=1]
+//                        [--push_window=0]
 //                        [--runtime=threaded|rpc]
 //     rpc runtime only:  [--serve_status=/tmp/hetps.sock]
 //                        [--heartbeat_timeout=0] [--evict_dead_workers=1]
@@ -272,8 +272,6 @@ int RunTrainRpc(const FlagParser& flags) {
       static_cast<int>(FlagOrExit(flags.GetInt("servers", 2)));
   opts.push_window =
       static_cast<int>(FlagOrExit(flags.GetInt("push_window", 0)));
-  opts.push_parallelism =
-      static_cast<int>(FlagOrExit(flags.GetInt("push_parallelism", 1)));
   opts.heartbeat_timeout =
       FlagOrExit(flags.GetDouble("heartbeat_timeout", 0.0));
   opts.evict_dead_workers = flags.GetBool("evict_dead_workers", true);
@@ -369,12 +367,9 @@ int RunTrain(const FlagParser& flags) {
   cfg.update_filter_epsilon =
       FlagOrExit(flags.GetDouble("update_filter", 0.0));
   // Push pipeline: --push_window=N overlaps pushes with compute
-  // (0 = synchronous), --push_parallelism fans push application across
-  // server shards (1 = serial, 0 = auto).
+  // (0 = synchronous).
   cfg.push_window =
       static_cast<int>(FlagOrExit(flags.GetInt("push_window", 0)));
-  cfg.push_parallelism =
-      static_cast<int>(FlagOrExit(flags.GetInt("push_parallelism", 1)));
 
   std::unique_ptr<RunReporter> reporter = MakeReporter(
       flags, {{"command", "train"},

@@ -5,16 +5,16 @@
 #
 #   asan — AddressSanitizer + UndefinedBehaviorSanitizer
 #   tsan — ThreadSanitizer (the concurrency tests in
-#          tests/ps/ps_concurrency_test.cc, tests/net/message_bus_test.cc
-#          and tests/util/thread_pool_test.cc were written to be run
-#          under this)
+#          tests/ps/ps_concurrency_test.cc and
+#          tests/net/message_bus_test.cc were written to be run under
+#          this)
 #   all  — both, in sequence (default)
 #
 # Each flavor gets its own build directory (build-asan/, build-tsan/) so
 # the default build/ stays untouched. An optional second argument narrows
 # the ctest run, e.g.:
 #
-#   scripts/run_sanitizers.sh tsan 'PsConcurrency|MessageBus|ThreadPool'
+#   scripts/run_sanitizers.sh tsan 'PsConcurrency|MessageBus'
 set -euo pipefail
 
 FLAVOR="${1:-all}"

@@ -45,7 +45,6 @@ Result<DistributedTrainResult> TrainDistributed(
   ps_opts.num_servers = options.num_servers;
   ps_opts.sync = options.sync;
   ps_opts.partition_sync = options.partition_sync;
-  ps_opts.push_parallelism = options.push_parallelism;
   ParameterServer ps(dataset.dimension(), options.num_workers, rule_proto,
                      ps_opts);
   if (options.resume) {

@@ -58,9 +58,6 @@ struct DistributedTrainerOptions {
   /// is in flight). Push retries stay safe: the service dedups by
   /// (worker, clock).
   int push_window = 0;
-  /// Threads applying a push's partition pieces server-side (see
-  /// PsOptions::push_parallelism): 1 = serial (default), 0 = auto.
-  int push_parallelism = 1;
   /// Called on worker 0's thread after each of its clocks (1-based
   /// count); RunReporter::OnEpoch hooks in here. Keep it cheap.
   std::function<void(int)> on_epoch;

@@ -31,7 +31,6 @@ ThreadedTrainResult TrainThreaded(const Dataset& dataset,
   ps_opts.sync = options.sync;
   ps_opts.partition_sync = options.partition_sync;
   ps_opts.update_filter_epsilon = options.update_filter_epsilon;
-  ps_opts.push_parallelism = options.push_parallelism;
   ParameterServer ps(dataset.dimension(), options.num_workers, rule_proto,
                      ps_opts);
 

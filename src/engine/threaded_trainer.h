@@ -51,9 +51,6 @@ struct ThreadedTrainerOptions {
   /// in-flight window (1 = double-buffer: compute clock c+1 while the
   /// push of clock c is in flight).
   int push_window = 0;
-  /// Threads applying a push's partition pieces server-side (see
-  /// PsOptions::push_parallelism): 1 = serial (default), 0 = auto.
-  int push_parallelism = 1;
   /// Unused; kept while perfledger/ledger.cc sets it.
   uint64_t seed = 11;
   /// Called on worker 0's thread after each of its clocks finishes

@@ -30,7 +30,7 @@ namespace kernels {
 ///
 /// Contract: raw-pointer kernels do not validate sizes or indices in
 /// release builds — callers own the bounds (hoisted O(1) checks live at
-/// the call sites; see vector_ops.h / sparse_vector.cc). Sparse index
+/// the call sites; see sparse_vector.cc). Sparse index
 /// arrays must contain in-range indices; ScatterAxpy additionally assumes
 /// indices are unique (SparseVector's strictly-increasing invariant).
 enum class KernelIsa : int {

@@ -42,9 +42,6 @@ Result<LinearModel> LinearModel::Train(const Dataset& dataset,
   if (config.push_window < 0) {
     return Status::InvalidArgument("push_window must be >= 0");
   }
-  if (config.push_parallelism < 0) {
-    return Status::InvalidArgument("push_parallelism must be >= 0");
-  }
 
   const std::unique_ptr<LossFunction> loss = MakeLoss(config.loss);
   const std::unique_ptr<ConsolidationRule> rule =
@@ -69,7 +66,6 @@ Result<LinearModel> LinearModel::Train(const Dataset& dataset,
   options.partition_sync = config.partition_sync;
   options.update_filter_epsilon = config.update_filter_epsilon;
   options.push_window = config.push_window;
-  options.push_parallelism = config.push_parallelism;
   options.on_epoch = config.on_epoch;
 
   ThreadedTrainResult stats =

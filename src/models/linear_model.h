@@ -42,9 +42,6 @@ struct LinearModelConfig {
   /// Asynchronous push pipeline: 0 = synchronous pushes, >= 1 = bounded
   /// in-flight window (see ThreadedTrainerOptions::push_window).
   int push_window = 0;
-  /// Server-side shard-parallel push apply: 1 = serial, 0 = auto (see
-  /// PsOptions::push_parallelism).
-  int push_parallelism = 1;
   /// Forwarded to ThreadedTrainerOptions::on_epoch — worker 0's per-clock
   /// hook (RunReporter::OnEpoch plugs in here for periodic metric dumps).
   std::function<void(int)> on_epoch;

@@ -55,8 +55,7 @@ enum class PsOpCode : uint8_t {
   /// Columnar push: (worker, clock, piece count), then per piece a
   /// partition id + a partition-local columnar SparseVector. The handler
   /// routes pieces straight to their shards (ParameterServer::PushPieces)
-  /// without rebuilding a dim-wide global vector, and pieces apply
-  /// shard-parallel when PsOptions::push_parallelism allows. The only
+  /// without rebuilding a dim-wide global vector. The only
   /// push frame: clients run the kLayout handshake before their first
   /// push (the split needs the Partitioner).
   kPushColumnar = 10,

@@ -170,36 +170,6 @@ HistogramMetric* MetricsRegistry::histogram(const std::string& name,
   return slot.get();
 }
 
-std::string MetricsRegistry::Report() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string os;
-  for (const auto& [name, c] : counters_) {
-    os += name + ' ' + std::to_string(c->value()) + '\n';
-  }
-  for (const auto& [name, g] : gauges_) {
-    if (!g->has_value()) continue;  // unset gauges carry no information
-    os += name + ' ' + Format6g(g->value()) + '\n';
-  }
-  for (const auto& [name, d] : distributions_) {
-    const RunningStat s = d->Snapshot();
-    os += name + " count=" + std::to_string(s.count()) +
-          " mean=" + Format6g(s.mean()) + " min=" + Format6g(s.min()) +
-          " max=" + Format6g(s.max()) +
-          " stddev=" + Format6g(s.stddev()) + '\n';
-  }
-  for (const auto& [name, h] : histograms_) {
-    os += name + " count=" + std::to_string(h->count()) +
-          " mean=" + Format6g(h->mean()) +
-          " min=" + std::to_string(h->min()) +
-          " max=" + std::to_string(h->max()) +
-          " p50=" + std::to_string(h->ValueAtQuantile(0.5)) +
-          " p90=" + std::to_string(h->ValueAtQuantile(0.9)) +
-          " p99=" + std::to_string(h->ValueAtQuantile(0.99)) +
-          " p999=" + std::to_string(h->ValueAtQuantile(0.999)) + '\n';
-  }
-  return os;
-}
-
 std::string MetricsRegistry::PrometheusText() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string os;

@@ -143,12 +143,6 @@ class MetricsRegistry {
   HistogramMetric* histogram(const std::string& name,
                              const MetricLabels& labels);
 
-  /// Legacy text path: "name value" / "name count=... mean=..." lines,
-  /// sorted, doubles rendered with %.6g. Distributions report
-  /// count/mean/min/max/stddev; histograms add quantiles; unset gauges
-  /// are skipped.
-  std::string Report() const;
-
   /// Prometheus text exposition (# TYPE lines; '.' sanitized to '_').
   /// Bucketed histograms render as `histogram` families with cumulative
   /// `_bucket{le="..."}` lines plus `_sum`/`_count`; distributions stay

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <iomanip>
 #include <sstream>
-#include <thread>
 
 #include "math/kernels.h"
 #include "obs/flight_recorder.h"
@@ -251,29 +250,16 @@ void ParameterServer::PushPieces(
   // rules (DynSGD) still receive every piece: an empty piece is their
   // "worker finished this clock here" completion marker (§6). Either way
   // the clock advances once per logical push.
-  std::vector<const std::pair<int, SparseVector>*> kept;
-  kept.reserve(pieces.size());
+  int64_t applied = 0;
   int64_t shipped = 0;
   for (const auto& pr : pieces) {
     if (pr.second.empty() && empty_push_is_noop_) continue;
-    kept.push_back(&pr);
+    ApplyPiece(pr.first, worker, clock, pr.second);
+    ++applied;
     shipped += PieceBytes(pr.second);
   }
-  push_pieces_counter_->Increment(static_cast<int64_t>(kept.size()));
+  push_pieces_counter_->Increment(applied);
   push_bytes_shipped_->Increment(shipped);
-  const auto apply = [&](int i) {
-    const auto& pr = *kept[static_cast<size_t>(i)];
-    ApplyPiece(pr.first, worker, clock, pr.second);
-  };
-  const int count = static_cast<int>(kept.size());
-  if (count > 1 && options_.push_parallelism != 1) {
-    // Pieces of one push hit distinct shards, so parallel apply is
-    // content-deterministic: every shard sees exactly the piece it
-    // would see serially, under the same shard mutex.
-    RunOnApplyPool(count, apply);
-  } else {
-    for (int i = 0; i < count; ++i) apply(i);
-  }
   // Lock order: every shard mutex (L2) is released before AdvanceClock
   // takes clock_mu_ (L1); the two are never nested.
   if (finishes_push) AdvanceClock(worker, clock);
@@ -486,31 +472,41 @@ PiecePullPlan ParameterServer::DecidePullLocked(ServerShard* shard,
   PiecePullPlan plan;
   plan.tag = versioned ? MakeTag(true, version)
                        : MakeTag(false, shard->data_version());
-  // The parameter block w sizes bytes_full. When the rule serves w as it
-  // stands and w is stored dense, the whole-block read works on w in
-  // place, and this one count of w also picks the layout and sizes the
-  // emit. A served block counts x != 0.0 (NaN included); the sparse
-  // layout and bytes_full count |x| > 0 (`kept`, NaN excluded).
+  // bytes_full is sized from the content the rule serves, in plan and
+  // read mode alike. A rule that serves w as it stands is read from a
+  // dense w in place; a rule with state of its own (deferred DynSGD) has
+  // its block materialized here. This one count also picks the
+  // whole-block layout and sizes the emit. A served block counts
+  // x != 0.0 (NaN included); the sparse layout and bytes_full count
+  // |x| > 0 (`kept`, NaN excluded). A sparse-stored w is counted as it
+  // stands and densified only when read.
   const ParamBlock& w = shard->param();
-  const bool in_place =
-      shard->rule().MaterializesParamBlock() && w.dense_data() != nullptr;
+  const ConsolidationRule& rule = shard->rule();
+  std::vector<double> block;
+  const double* values = w.dense_data();
+  if (!rule.MaterializesParamBlock()) {
+    block = version >= 0 ? rule.MaterializeAtVersion(w, version)
+                         : rule.Materialize(w);
+    values = block.data();
+  }
   size_t nonzero = 0;
   size_t kept = 0;
-  if (in_place) {
-    nonzero = kernels::CountNonZero(w.dense_data(), w.dim(), &kept);
+  if (values != nullptr) {
+    nonzero = kernels::CountNonZero(values, w.dim(), &kept);
     plan.bytes_full = WholeBlockBytes(w.dim(), kept);
   } else {
     plan.bytes_full = WholeBlockBytes(w.dim(), w.CountNonZero());
   }
-  if (out != nullptr) out->tag = plan.tag;
+  if (out != nullptr) {
+    // Every read is a read at cmax for the rule's bookkeeping, a cache
+    // hit included (Algorithm 2 line 18). Stamping changes no content.
+    shard->StampPull(worker, cmax);
+    out->tag = plan.tag;
+  }
   if (cached_tag == plan.tag) {
-    // Cache hit: the client's copy is byte-identical. Still a read at
-    // cmax for the rule's bookkeeping (Algorithm 2 line 18).
+    // Cache hit: the client's copy is byte-identical.
     plan.changed = false;
-    if (out != nullptr) {
-      shard->StampPull(worker, cmax);
-      out->encoding = PartitionPull::Encoding::kUnchanged;
-    }
+    if (out != nullptr) out->encoding = PartitionPull::Encoding::kUnchanged;
     return plan;
   }
   // Try the patch first (live-tag mode only; versioned snapshots change
@@ -528,12 +524,11 @@ PiecePullPlan ParameterServer::DecidePullLocked(ServerShard* shard,
     plan.patch = true;
     plan.bytes = SparseBytes(keys.size());
     if (out != nullptr) {
-      shard->StampPull(worker, cmax);
-      std::vector<double> values(keys.size());
-      w.Gather(keys.data(), keys.size(), values.data());
+      std::vector<double> patch(keys.size());
+      w.Gather(keys.data(), keys.size(), patch.data());
       out->encoding = PartitionPull::Encoding::kSparsePatch;
       out->base_tag = cached_tag;
-      out->sparse = SparseVector(std::move(keys), std::move(values));
+      out->sparse = SparseVector(std::move(keys), std::move(patch));
     }
     return plan;
   }
@@ -541,17 +536,11 @@ PiecePullPlan ParameterServer::DecidePullLocked(ServerShard* shard,
   if (out == nullptr) return plan;
   // Whole-block ship in whichever layout is smaller (ParamBlock's 50%
   // rule applied to the served content): the kept entries straight into
-  // exact-size sparse arrays, or one dense copy. Without in-place
-  // service the rule materializes the block and it is counted here.
-  std::vector<double> block;
-  const double* values = w.dense_data();
-  if (in_place) {
-    shard->StampPull(worker, cmax);
-  } else {
-    block = version >= 0 ? shard->PullAtVersion(worker, cmax, version)
-                         : shard->Pull(worker, cmax);
+  // exact-size sparse arrays, or one dense copy.
+  if (values == nullptr) {
+    block = w.ToDense();
     values = block.data();
-    nonzero = kernels::CountNonZero(values, block.size(), &kept);
+    nonzero = kernels::CountNonZero(values, w.dim(), &kept);
   }
   plan.bytes = WholeBlockBytes(w.dim(), nonzero);
   if (plan.bytes < static_cast<int64_t>(w.dim() * sizeof(double))) {
@@ -559,7 +548,7 @@ PiecePullPlan ParameterServer::DecidePullLocked(ServerShard* shard,
     out->sparse = SparseVector::FromDense(values, w.dim(), kept);
   } else {
     out->encoding = PartitionPull::Encoding::kDense;
-    if (in_place) {
+    if (block.empty()) {  // served in place from w
       out->dense.assign(values, values + w.dim());
     } else {
       out->dense = std::move(block);
@@ -616,60 +605,6 @@ PiecePullPlan ParameterServer::PlanPullPiece(int partition, int worker,
   return plan;
 }
 
-ThreadPool* ParameterServer::ApplyPool() {
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  if (apply_pool_ == nullptr) {
-    const auto resolve = [](int knob) {
-      if (knob > 0) return knob;
-      int n = static_cast<int>(std::thread::hardware_concurrency());
-      return n > 0 ? n : 2;
-    };
-    // One pool serves both the pull-assembly and the push-apply paths:
-    // size it for whichever knob asks for more (a knob pinned to 1
-    // never routes work here, so it never inflates the pool).
-    int n = std::max(resolve(options_.pull_parallelism),
-                     resolve(options_.push_parallelism));
-    n = std::min(n, partitioner_.num_partitions());
-    n = std::max(n, 1);
-    apply_pool_ = std::make_unique<ThreadPool>(static_cast<size_t>(n));
-  }
-  return apply_pool_.get();
-}
-
-void ParameterServer::ShutdownApplyPoolForTest() {
-  ThreadPool* pool = ApplyPool();
-  pool->Shutdown();
-}
-
-void ParameterServer::RunOnApplyPool(int count,
-                                     const std::function<void(int)>& fn) {
-  // Per-call latch: the pool is shared across concurrent pulls and
-  // pushes, so we count down *our* tasks instead of waiting for the
-  // pool to drain.
-  std::mutex latch_mu;
-  std::condition_variable latch_cv;
-  int remaining = count;
-  ThreadPool* pool = ApplyPool();
-  for (int i = 0; i < count; ++i) {
-    const bool accepted = pool->Submit([&, i] {
-      fn(i);
-      std::lock_guard<std::mutex> lock(latch_mu);
-      if (--remaining == 0) latch_cv.notify_one();
-    });
-    if (!accepted) {
-      // Pool shut down (destruction/shutdown races): run the task
-      // inline instead of dropping it — a dropped task would leave the
-      // latch undercounted forever (and, before this fallback existed,
-      // silently lost the partition's work).
-      fn(i);
-      std::lock_guard<std::mutex> lock(latch_mu);
-      if (--remaining == 0) latch_cv.notify_one();
-    }
-  }
-  std::unique_lock<std::mutex> lock(latch_mu);
-  latch_cv.wait(lock, [&] { return remaining == 0; });
-}
-
 DeltaPullResult ParameterServer::PullDelta(
     int worker, const std::vector<int64_t>& cached_tags) {
   HETPS_TRACE_SPAN1("ps.pull_delta", "worker", worker);
@@ -679,22 +614,16 @@ DeltaPullResult ParameterServer::PullDelta(
   DeltaPullResult result;
   result.cmin = cmin();
   result.partitions.resize(static_cast<size_t>(parts));
-  std::vector<PiecePullPlan> plans(static_cast<size_t>(parts));
-  const auto read_one = [&](int p) {
+  PullTally tally;
+  for (int p = 0; p < parts; ++p) {
     const size_t slot = static_cast<size_t>(p);
     const int64_t cached =
         slot < cached_tags.size() ? cached_tags[slot] : kNoCachedTag;
+    PiecePullPlan plan;
     result.partitions[slot] =
-        BuildPartitionPull(p, worker, version, cached, &plans[slot]);
-  };
-  if (parts > 1 && options_.pull_parallelism != 1) {
-    // Partition slots are disjoint, so the writes need no extra locking.
-    RunOnApplyPool(parts, read_one);
-  } else {
-    for (int p = 0; p < parts; ++p) read_one(p);
+        BuildPartitionPull(p, worker, version, cached, &plan);
+    tally.Add(plan);
   }
-  PullTally tally;
-  for (const PiecePullPlan& plan : plans) tally.Add(plan);
   result.bytes_shipped = tally.bytes;
   result.bytes_full = tally.bytes_full;
   CountPulls(tally);

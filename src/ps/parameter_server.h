@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -20,7 +19,6 @@
 #include "ps/server_shard.h"
 #include "ps/status.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace hetps {
 
@@ -40,18 +38,6 @@ struct PsOptions {
   /// delta capture; unchanged-partition detection still works — it only
   /// needs the version stamp). See ServerShard.
   int delta_log_depth = 64;
-  /// Threads used to assemble multi-partition pulls shard-parallel.
-  /// 0 = auto (hardware concurrency, capped at the partition count);
-  /// 1 = serial assembly on the calling thread.
-  int pull_parallelism = 0;
-  /// Threads used to apply a push's partition pieces shard-parallel
-  /// (each piece under its own shard mutex; AdvanceClock fires once
-  /// after the last piece). 0 = auto (hardware concurrency, capped at
-  /// the partition count); 1 = serial apply on the calling thread —
-  /// the default, which is byte-for-byte today's push path. Pull
-  /// assembly and push apply share one pool (sized for whichever knob
-  /// asks for more).
-  int push_parallelism = 1;
   /// Registry receiving the PS telemetry (per-shard push/pull latency
   /// histograms, per-worker staleness, admission-wait times). nullptr =
   /// the process-wide GlobalMetrics(). The metric objects are created
@@ -120,10 +106,10 @@ struct PiecePullPlan {
   /// Content tag the response carries.
   int64_t tag = kNoCachedTag;
   /// Content bytes the response ships (0 when unchanged). A plan sizes a
-  /// whole block from the parameter block; a served pull from the
-  /// materialized content.
+  /// whole block as bytes_full; a served pull counts what it ships.
   int64_t bytes = 0;
-  /// Content bytes a whole-block ship would cost (50% rule).
+  /// Content bytes a whole-block ship of the content the rule serves
+  /// would cost (50% rule).
   int64_t bytes_full = 0;
 };
 
@@ -192,13 +178,10 @@ class ParameterServer {
   /// simulator (one call per arriving piece) all land here. A push from
   /// an evicted worker is dropped (ps.evicted_pushes_dropped counts it
   /// on the call that finishes the push). Empty pieces are skipped for
-  /// rules that treat an empty push as a no-op. Pieces apply
-  /// shard-parallel on the shared apply pool when
-  /// options().push_parallelism != 1 (each under its own shard mutex;
-  /// pieces of one push touch distinct shards, so the result is
-  /// independent of apply order). When `finishes_push`, AdvanceClock
-  /// fires once after the last piece, with no shard mutex held (L2
-  /// before L1, never nested). Pieces must already be partition-local
+  /// rules that treat an empty push as a no-op. Pieces apply in order on
+  /// the calling thread, each under its own shard mutex. When
+  /// `finishes_push`, AdvanceClock fires once after the last piece, with
+  /// no shard mutex held (L2 before L1, never nested). Pieces must already be partition-local
   /// (from partitioner().SplitByPartition or the columnar wire decoder).
   void PushPieces(int worker, int clock,
                   const std::vector<std::pair<int, SparseVector>>& pieces,
@@ -247,7 +230,7 @@ class ParameterServer {
   /// `cached_tags[p]` is the content tag the client holds for partition p
   /// (kNoCachedTag if none; a short vector is padded with kNoCachedTag).
   /// All tags kNoCachedTag is the whole-model pull. Partitions are read
-  /// shard-parallel when options().pull_parallelism allows. Returns the
+  /// in order on the calling thread. Returns the
   /// pieces, the cmin taken before the reads (Algorithm 1's pull returns
   /// both) and the wire accounting, which also feeds the pull.* counters.
   DeltaPullResult PullDelta(int worker,
@@ -267,10 +250,10 @@ class ParameterServer {
                                    PiecePullPlan* plan = nullptr);
 
   /// The decision BuildPartitionPull would make for `cached_tag`, without
-  /// reading the block or stamping pull state; a whole block is sized
-  /// from the parameter block. The simulator calls this at grant time to
-  /// size the per-partition message (and reads at link time), so it also
-  /// folds the decision into the pull.* counters.
+  /// emitting a payload or stamping pull state; a whole block is sized
+  /// from the content the rule serves. The simulator calls this at grant
+  /// time to size the per-partition message (and reads at link time), so
+  /// it also folds the decision into the pull.* counters.
   PiecePullPlan PlanPullPiece(int partition, int worker, int64_t version,
                               int64_t cached_tag);
 
@@ -320,12 +303,6 @@ class ParameterServer {
   static bool TagIsVersioned(int64_t tag);
   static int64_t TagValue(int64_t tag);
 
-  /// Test-only: shuts the shared apply pool down in place. Subsequent
-  /// parallel pulls/pushes must degrade to inline execution (the
-  /// Submit-refused fallback) instead of silently dropping work —
-  /// regression hook for the pull-during-shutdown bug.
-  void ShutdownApplyPoolForTest();
-
  private:
   /// Pull responses summed for the pull.* counters.
   struct PullTally {
@@ -344,13 +321,6 @@ class ParameterServer {
   /// touches the clock table.
   void ApplyPiece(int partition, int worker, int clock,
                   const SparseVector& local_piece);
-
-  /// Runs fn(0..count-1) on the shared apply pool, blocking until all
-  /// complete (per-call latch — the pool is shared across concurrent
-  /// calls, so ThreadPool::Wait() is not usable). A task the pool
-  /// refuses (shutdown race) runs inline on the calling thread instead
-  /// of being dropped, so the latch can never undercount.
-  void RunOnApplyPool(int count, const std::function<void(int)>& fn);
 
   /// ## Content-tag encoding
   ///
@@ -377,17 +347,12 @@ class ParameterServer {
   /// The pull decision, made with `shard`'s mutex held: mints the
   /// content tag (versioned for a stable-version read of a rule with
   /// versioned snapshots, live otherwise) and picks unchanged, patch or
-  /// whole block. With `out` it also stamps the read at `cmax` and fills
-  /// the payload, sizing a whole block from the materialized content;
-  /// without, `worker` and `cmax` are unused and nothing is read.
+  /// whole block, sized in both modes from the content the rule serves.
+  /// With `out` it also stamps the read at `cmax` and fills the payload;
+  /// without, `worker` and `cmax` are unused and nothing is stamped.
   PiecePullPlan DecidePullLocked(ServerShard* shard, int worker, int cmax,
                                  int64_t version, int64_t cached_tag,
                                  PartitionPull* out);
-
-  /// Lazily creates the shared apply pool (first multi-partition
-  /// parallel pull assembly or push apply). Sized for whichever of
-  /// pull_parallelism / push_parallelism asks for more threads.
-  ThreadPool* ApplyPool();
 
   /// Records `worker`'s push of `clock` in the clock table and wakes
   /// blocked SSP waiters when cmin advances. Takes L1 only; must be
@@ -415,16 +380,6 @@ class ParameterServer {
   // commit so tags handed out before a restore can never match tags
   // computed after it (restored shards restart their version stamps).
   std::atomic<uint32_t> pull_epoch_{0};
-
-  // Shared apply pool: shard-parallel pull assembly AND shard-parallel
-  // push application run their per-partition tasks here. Created lazily
-  // under pool_mu_; sized by options_.pull_parallelism /
-  // options_.push_parallelism. Tasks synchronize with their issuing
-  // call through a per-call latch (the pool is shared across concurrent
-  // calls, so ThreadPool::Wait() — which waits for *all* tasks — is not
-  // usable here).
-  std::mutex pool_mu_;
-  std::unique_ptr<ThreadPool> apply_pool_;
 
   // L1 — always acquired before any shard_mu_ (never after).
   mutable std::mutex clock_mu_;

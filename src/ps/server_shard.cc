@@ -91,17 +91,6 @@ bool ServerShard::DeltaSince(int64_t from_version, size_t key_limit,
   return fits;
 }
 
-std::vector<double> ServerShard::Pull(int worker, int cmax) {
-  rule_->OnPull(worker, cmax);
-  return rule_->Materialize(param_);
-}
-
-std::vector<double> ServerShard::PullAtVersion(int worker, int cmax,
-                                               int64_t version) {
-  rule_->OnPull(worker, cmax);
-  return rule_->MaterializeAtVersion(param_, version);
-}
-
 std::vector<double> ServerShard::Peek() const {
   return rule_->Materialize(param_);
 }

@@ -48,17 +48,9 @@ class ServerShard {
   /// update's key set to the log.
   void Push(int worker, int clock, const SparseVector& local_update);
 
-  /// Dense snapshot of this partition, stamping the rule's pull state for
-  /// `worker` (`cmax` = fastest worker's clock, for Algorithm 2).
-  std::vector<double> Pull(int worker, int cmax);
-
-  /// Snapshot at `version` (deferred DynSGD only; other rules return the
-  /// live value). Stamps pull state like Pull().
-  std::vector<double> PullAtVersion(int worker, int cmax, int64_t version);
-
-  /// Stamps the rule's pull state without materializing — the cheap half
-  /// of a cache-hit pull (the client keeps its replica; the server must
-  /// still record that the worker read at cmax, Algorithm 2 line 18).
+  /// Stamps the rule's pull state for `worker` (`cmax` = fastest
+  /// worker's clock): every read, a cache hit included, records that the
+  /// worker read at cmax (Algorithm 2 line 18). Changes no content.
   void StampPull(int worker, int cmax) { rule_->OnPull(worker, cmax); }
 
   /// Forwards a liveness-plane readmission so version-tracking rules can

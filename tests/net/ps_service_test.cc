@@ -168,11 +168,11 @@ TEST(PsServiceTest, ServiceMetricsCountRequests) {
         h.bus.BlockingCall("c", "ps", w.TakeBuffer(), kForever).ok());
   }
   h.bus.Flush();
-  const std::string report = h.service.metrics().Report();
-  EXPECT_NE(report.find("rpc.push_columnar 2"), std::string::npos);
-  EXPECT_NE(report.find("rpc.pull_delta 1"), std::string::npos);
-  EXPECT_NE(report.find("rpc.errors 1"), std::string::npos);
-  EXPECT_NE(report.find("ps.param_bytes"), std::string::npos);
+  const MetricsSnapshot snap = h.service.metrics().SnapshotValues();
+  EXPECT_EQ(snap.counters.at("rpc.push_columnar"), 2);
+  EXPECT_EQ(snap.counters.at("rpc.pull_delta"), 1);
+  EXPECT_EQ(snap.counters.at("rpc.errors"), 1);
+  EXPECT_EQ(snap.gauges.count("ps.param_bytes"), 1u);
 }
 
 TEST(PsServiceTest, RetriesRecoverFromLostRequests) {

@@ -82,8 +82,9 @@ TEST(PushPipelineTest, ColumnarPushRoundtripAppliesOnce) {
   EXPECT_DOUBLE_EQ(replica[15], 3.0);
   EXPECT_EQ(h.ps.cmin(), 1);  // the clock advanced exactly once
   h.bus.Flush();
-  EXPECT_NE(h.service.metrics().Report().find("rpc.push_columnar 1"),
-            std::string::npos);
+  EXPECT_EQ(
+      h.service.metrics().SnapshotValues().counters.at("rpc.push_columnar"),
+      1);
 }
 
 // A push before any pull fetches the layout itself, so even the first
@@ -99,9 +100,9 @@ TEST(PushPipelineTest, LegacyFrameFallbackBeforeLayoutHandshake) {
   EXPECT_DOUBLE_EQ(replica[2], 1.0);
   EXPECT_DOUBLE_EQ(replica[6], -1.0);
   h.bus.Flush();
-  const std::string report = h.service.metrics().Report();
-  EXPECT_NE(report.find("rpc.layout 1"), std::string::npos);
-  EXPECT_NE(report.find("rpc.push_columnar 1"), std::string::npos);
+  const MetricsSnapshot snap = h.service.metrics().SnapshotValues();
+  EXPECT_EQ(snap.counters.at("rpc.layout"), 1);
+  EXPECT_EQ(snap.counters.at("rpc.push_columnar"), 1);
 }
 
 std::vector<uint8_t> ColumnarFrame(const ParameterServer& ps, int worker,
@@ -140,8 +141,9 @@ TEST(PushPipelineTest, DuplicateColumnarFrameIsDeduped) {
   EXPECT_DOUBLE_EQ(state[12], 2.0);
   EXPECT_EQ(h.ps.cmin(), 1);
   h.bus.Flush();
-  EXPECT_NE(h.service.metrics().Report().find("rpc.push_duplicates 1"),
-            std::string::npos);
+  EXPECT_EQ(
+      h.service.metrics().SnapshotValues().counters.at("rpc.push_duplicates"),
+      1);
 }
 
 // Malformed columnar frames are refused before anything applies: pieces
@@ -275,7 +277,6 @@ DistributedTrainerOptions PipelineOptions() {
   opts.eval_sample = 400;
   opts.sync = SyncPolicy::Ssp(2);
   opts.push_window = 1;
-  opts.push_parallelism = 2;
   return opts;
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/consolidation.h"
+#include "core/dyn_sgd.h"
 #include "ps/checkpoint.h"
 #include "ps/parameter_server.h"
 #include "ps/worker_client.h"
@@ -211,66 +212,94 @@ TEST(PullCacheTest, PlannedBytesEqualShippedBytesUnderRandomTraffic) {
   // tags: several workers push dense and sparse updates, each pulls
   // with its own (often stale, sometimes reset) tags, over range and
   // hash partitions, so unchanged, patch, sparse and dense responses
-  // all occur.
-  for (PartitionScheme scheme :
-       {PartitionScheme::kRange, PartitionScheme::kHash}) {
-    SCOPED_TRACE(PartitionSchemeName(scheme));
-    ConRule rule;
-    PsOptions opts = MultiPartOptions(SyncPolicy::Asp());
-    opts.scheme = scheme;
-    const int64_t dim = 2000;
-    const int workers = 3;
-    ParameterServer ps(dim, workers, rule, opts);
-    const size_t parts = static_cast<size_t>(ps.num_partitions());
-    std::vector<std::vector<int64_t>> tags(
-        static_cast<size_t>(workers),
-        std::vector<int64_t>(parts, kNoCachedTag));
-    std::vector<int> clocks(static_cast<size_t>(workers), 0);
-    int seen[4] = {0, 0, 0, 0};
-    Rng rng(99);
-    for (int round = 0; round < 120; ++round) {
-      const int pusher = static_cast<int>(rng.NextUint64(workers));
-      // Mostly a few keys in one window; now and then the whole model.
-      const bool wide = rng.NextBernoulli(0.1);
-      const int64_t begin =
-          wide ? 0 : static_cast<int64_t>(rng.NextUint64(dim - 300));
-      const int64_t end = wide ? dim : begin + 300;
-      std::vector<int64_t> idx;
-      std::vector<double> val;
-      for (int64_t key = begin; key < end;
-           key += wide ? 1 : 10 + static_cast<int64_t>(rng.NextUint64(60))) {
-        idx.push_back(key);
-        val.push_back(rng.NextDouble() - 0.5);
+  // all occur. Deferred DynSGD serves w plus its live version summaries
+  // (at the stable version under partition_sync), so its plan must be
+  // sized from that content.
+  DynSgdRule::Options deferred;
+  deferred.mode = DynSgdRule::ApplyMode::kDeferred;
+  const ConRule con;
+  const DynSgdRule dyn(deferred);
+  // Which responses each config can give: deferred DynSGD keeps no delta
+  // log (no patch), and without partition_sync every push, empty pieces
+  // included, changes its live tag (no hit).
+  const struct {
+    const ConsolidationRule* rule;
+    bool partition_sync;
+    bool hits;
+    bool patches;
+  } configs[] = {{&con, false, true, true},
+                 {&dyn, true, true, false},
+                 {&dyn, false, false, false}};
+  for (const auto& config : configs) {
+    for (PartitionScheme scheme :
+         {PartitionScheme::kRange, PartitionScheme::kHash}) {
+      SCOPED_TRACE(config.rule->name() +
+                   (config.partition_sync ? " partition_sync / " : " / ") +
+                   PartitionSchemeName(scheme));
+      PsOptions opts = MultiPartOptions(SyncPolicy::Asp());
+      opts.scheme = scheme;
+      opts.partition_sync = config.partition_sync;
+      const int64_t dim = 2000;
+      const int workers = 3;
+      ParameterServer ps(dim, workers, *config.rule, opts);
+      const size_t parts = static_cast<size_t>(ps.num_partitions());
+      std::vector<std::vector<int64_t>> tags(
+          static_cast<size_t>(workers),
+          std::vector<int64_t>(parts, kNoCachedTag));
+      std::vector<int> clocks(static_cast<size_t>(workers), 0);
+      int seen[4] = {0, 0, 0, 0};
+      Rng rng(99);
+      for (int round = 0; round < 120; ++round) {
+        const int pusher = static_cast<int>(rng.NextUint64(workers));
+        // Mostly a few keys in one window; now and then the whole model.
+        const bool wide = rng.NextBernoulli(0.1);
+        const int64_t begin =
+            wide ? 0 : static_cast<int64_t>(rng.NextUint64(dim - 300));
+        const int64_t end = wide ? dim : begin + 300;
+        std::vector<int64_t> idx;
+        std::vector<double> val;
+        for (int64_t key = begin; key < end;
+             key +=
+             wide ? 1 : 10 + static_cast<int64_t>(rng.NextUint64(60))) {
+          idx.push_back(key);
+          val.push_back(rng.NextDouble() - 0.5);
+        }
+        ps.Push(pusher, clocks[static_cast<size_t>(pusher)]++,
+                SparseVector(idx, val));
+        const int puller = static_cast<int>(rng.NextUint64(workers));
+        std::vector<int64_t>& cached = tags[static_cast<size_t>(puller)];
+        if (rng.NextBernoulli(0.1)) {
+          std::fill(cached.begin(), cached.end(), kNoCachedTag);
+        }
+        const int64_t version =
+            config.partition_sync ? ps.StableVersion() : -1;
+        std::vector<PiecePullPlan> plans;
+        for (size_t p = 0; p < parts; ++p) {
+          plans.push_back(ps.PlanPullPiece(static_cast<int>(p), puller,
+                                           version, cached[p]));
+        }
+        const DeltaPullResult r = ps.PullDelta(puller, cached);
+        ASSERT_EQ(r.partitions.size(), parts);
+        int64_t planned = 0;
+        int64_t planned_full = 0;
+        for (size_t p = 0; p < parts; ++p) {
+          const PartitionPull& pp = r.partitions[p];
+          EXPECT_EQ(plans[p].tag, pp.tag) << "round " << round;
+          EXPECT_EQ(plans[p].changed,
+                    pp.encoding != PartitionPull::Encoding::kUnchanged);
+          EXPECT_EQ(plans[p].bytes, ShippedBytes(pp)) << "round " << round;
+          planned += plans[p].bytes;
+          planned_full += plans[p].bytes_full;
+          ++seen[static_cast<int>(pp.encoding)];
+          cached[p] = pp.tag;
+        }
+        EXPECT_EQ(planned, r.bytes_shipped);
+        EXPECT_EQ(planned_full, r.bytes_full);
       }
-      ps.Push(pusher, clocks[static_cast<size_t>(pusher)]++,
-              SparseVector(idx, val));
-      const int puller = static_cast<int>(rng.NextUint64(workers));
-      std::vector<int64_t>& cached = tags[static_cast<size_t>(puller)];
-      if (rng.NextBernoulli(0.1)) {
-        std::fill(cached.begin(), cached.end(), kNoCachedTag);
+      const bool expected[4] = {config.hits, true, true, config.patches};
+      for (int e = 0; e < 4; ++e) {
+        EXPECT_EQ(seen[e] > 0, expected[e]) << "encoding " << e;
       }
-      std::vector<PiecePullPlan> plans;
-      for (size_t p = 0; p < parts; ++p) {
-        plans.push_back(ps.PlanPullPiece(static_cast<int>(p), puller,
-                                         /*version=*/-1, cached[p]));
-      }
-      const DeltaPullResult r = ps.PullDelta(puller, cached);
-      ASSERT_EQ(r.partitions.size(), parts);
-      int64_t planned = 0;
-      for (size_t p = 0; p < parts; ++p) {
-        const PartitionPull& pp = r.partitions[p];
-        EXPECT_EQ(plans[p].tag, pp.tag) << "round " << round;
-        EXPECT_EQ(plans[p].changed,
-                  pp.encoding != PartitionPull::Encoding::kUnchanged);
-        EXPECT_EQ(plans[p].bytes, ShippedBytes(pp)) << "round " << round;
-        planned += plans[p].bytes;
-        ++seen[static_cast<int>(pp.encoding)];
-        cached[p] = pp.tag;
-      }
-      EXPECT_EQ(planned, r.bytes_shipped);
-    }
-    for (int e = 0; e < 4; ++e) {
-      EXPECT_GT(seen[e], 0) << "encoding " << e << " never occurred";
     }
   }
 }
@@ -318,43 +347,6 @@ TEST(PullCacheTest, CheckpointRestoreInvalidatesClientTags) {
   EXPECT_EQ(replica, ps.Snapshot());
   EXPECT_DOUBLE_EQ(replica[4], 1.0);
   EXPECT_DOUBLE_EQ(replica[5], 0.0);
-}
-
-TEST(PullCacheTest, ParallelAndSerialAssemblyAgree) {
-  // pull_parallelism 1 (serial, calling thread) and 0 (auto, shard pool)
-  // must produce identical results for identical traffic.
-  SspRule rule;
-  PsOptions serial = MultiPartOptions(SyncPolicy::Asp(), 2, 4);
-  serial.pull_parallelism = 1;
-  PsOptions parallel = MultiPartOptions(SyncPolicy::Asp(), 2, 4);
-  parallel.pull_parallelism = 0;
-  ParameterServer ps_a(128, 1, rule, serial);
-  ParameterServer ps_b(128, 1, rule, parallel);
-  Rng rng(77);
-  for (int c = 0; c < 10; ++c) {
-    std::vector<int64_t> idx;
-    std::vector<double> val;
-    for (int64_t key = static_cast<int64_t>(rng.NextUint64(4)); key < 128;
-         key += 1 + static_cast<int64_t>(rng.NextUint64(16))) {
-      idx.push_back(key);
-      val.push_back(rng.NextDouble());
-    }
-    const SparseVector update(idx, val);
-    ps_a.Push(0, c, update);
-    ps_b.Push(0, c, update);
-  }
-  const std::vector<int64_t> cold(
-      static_cast<size_t>(ps_a.num_partitions()), kNoCachedTag);
-  const DeltaPullResult a = ps_a.PullDelta(0, cold);
-  const DeltaPullResult b = ps_b.PullDelta(0, cold);
-  ASSERT_EQ(a.partitions.size(), b.partitions.size());
-  EXPECT_EQ(a.bytes_shipped, b.bytes_shipped);
-  for (size_t p = 0; p < a.partitions.size(); ++p) {
-    EXPECT_EQ(a.partitions[p].encoding, b.partitions[p].encoding);
-    EXPECT_EQ(a.partitions[p].dense, b.partitions[p].dense);
-    EXPECT_TRUE(a.partitions[p].sparse == b.partitions[p].sparse);
-  }
-  EXPECT_EQ(ps_a.Snapshot(), ps_b.Snapshot());
 }
 
 TEST(PullCacheTest, ObservedPartitionVersionsNeverRegress) {

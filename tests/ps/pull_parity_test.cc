@@ -44,13 +44,13 @@ int64_t ReferenceServedBytes(const std::vector<double>& block) {
                   nnz * kSparseEntryBytes);
 }
 
-/// The 50% rule on the parameter block, counting entries with |x| > 0.
-int64_t ReferenceFullBytes(const ParamBlock& w) {
+/// The 50% rule on a materialized block, counting entries with |x| > 0.
+int64_t ReferenceFullBytes(const std::vector<double>& block) {
   int64_t nnz = 0;
-  for (double v : w.ToDense()) {
+  for (double v : block) {
     if (std::fabs(v) > 0.0) ++nnz;
   }
-  return std::min(static_cast<int64_t>(w.dim() * sizeof(double)),
+  return std::min(static_cast<int64_t>(block.size() * sizeof(double)),
                   nnz * kSparseEntryBytes);
 }
 
@@ -200,7 +200,10 @@ class PieceChecker {
     // Epoch 0: no checkpoint was restored.
     const int64_t tag = versioned ? (int64_t{1} << 61) | version
                                   : shard.data_version();
-    const int64_t bytes_full = ReferenceFullBytes(w);
+    std::vector<double> block =
+        version >= 0 ? shard.rule().MaterializeAtVersion(w, version)
+                     : shard.rule().Materialize(w);
+    const int64_t bytes_full = ReferenceFullBytes(block);
 
     PartitionPull want;
     want.partition = p;
@@ -225,9 +228,6 @@ class PieceChecker {
       want_planned_bytes = want_bytes;
       want.sparse = SparseVector(std::move(keys), std::move(values));
     } else {
-      std::vector<double> block =
-          version >= 0 ? shard.rule().MaterializeAtVersion(w, version)
-                       : shard.rule().Materialize(w);
       want_bytes = ReferenceServedBytes(block);
       want_planned_bytes = bytes_full;
       if (want_bytes <
@@ -289,7 +289,7 @@ TEST(PullDeltaTest, PiecesMatchTheMaterializeReferenceBitwise) {
   // Six partitions of 100 keys, filled to densities 0, 0.1, 0.49, 0.5,
   // 0.51 and 1.0 — each side of the 50% rule and on it. Two blocks hold
   // a NaN (counted as a nonzero by the served block's rule, dropped by
-  // the sparse emit and the parameter block's count) and every block
+  // the sparse emit and the bytes_full count) and every block
   // holds -0.0 entries.
   const int64_t kPartDim = 100;
   const int kParts = 6;
@@ -309,7 +309,6 @@ TEST(PullDeltaTest, PiecesMatchTheMaterializeReferenceBitwise) {
       opts.sync = SyncPolicy::Asp();
       opts.partition_sync = config.partition_sync;
       opts.delta_log_depth = kLogDepth;
-      opts.pull_parallelism = 1;
       ParameterServer ps(kPartDim * kParts, kWorkers, *rule, opts);
       ASSERT_EQ(ps.num_partitions(), kParts);
       const Partitioner& layout = ps.partitioner();

@@ -22,11 +22,11 @@ TEST(ServerShardTest, PushAppliesRule) {
   EXPECT_EQ(shard.push_count(), 1);
 }
 
-TEST(ServerShardTest, PullReturnsDenseBlock) {
+TEST(ServerShardTest, PeekReturnsDenseBlock) {
   SspRule proto;
   ServerShard shard(3, 3, proto, 1);
   shard.Push(0, 0, SparseVector({0, 2}, {1.0, 3.0}));
-  const auto block = shard.Pull(0, /*cmax=*/1);
+  const auto block = shard.Peek();
   ASSERT_EQ(block.size(), 3u);
   EXPECT_DOUBLE_EQ(block[0], 1.0);
   EXPECT_DOUBLE_EQ(block[2], 3.0);
@@ -43,7 +43,7 @@ TEST(ServerShardTest, PeekDoesNotStampPullState) {
   const int64_t v_before = rule->WorkerVersion(1);
   shard.Peek();
   EXPECT_EQ(rule->WorkerVersion(1), v_before);
-  shard.Pull(1, 1);
+  shard.StampPull(1, /*cmax=*/1);
   EXPECT_NE(rule->WorkerVersion(1), v_before);
 }
 
@@ -55,8 +55,10 @@ TEST(ServerShardTest, VersionedPullWithDeferredDyn) {
   shard.Push(0, 0, SparseVector({0}, {4.0}));  // version 0
   shard.Push(0, 1, SparseVector({0}, {6.0}));  // version 1
   EXPECT_EQ(shard.CurrentVersion(), 2);
-  EXPECT_DOUBLE_EQ(shard.PullAtVersion(1, 2, 1)[0], 4.0);
-  EXPECT_DOUBLE_EQ(shard.PullAtVersion(1, 2, 2)[0], 10.0);
+  EXPECT_DOUBLE_EQ(shard.rule().MaterializeAtVersion(shard.param(), 1)[0],
+                   4.0);
+  EXPECT_DOUBLE_EQ(shard.rule().MaterializeAtVersion(shard.param(), 2)[0],
+                   10.0);
 }
 
 TEST(ServerShardTest, MemoryAccounting) {

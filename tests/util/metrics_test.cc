@@ -55,29 +55,30 @@ TEST(MetricsTest, CountersAreThreadSafe) {
   EXPECT_EQ(c->value(), 4000);
 }
 
-TEST(MetricsTest, ReportRendersAllKinds) {
+TEST(MetricsTest, SnapshotCoversAllKinds) {
   MetricsRegistry registry;
   registry.counter("a.count")->Increment(3);
   registry.gauge("b.gauge")->Set(1.5);
   registry.distribution("c.dist")->Record(2.0);
-  const std::string report = registry.Report();
-  EXPECT_NE(report.find("a.count 3"), std::string::npos);
-  EXPECT_NE(report.find("b.gauge 1.5"), std::string::npos);
-  EXPECT_NE(report.find("c.dist count=1"), std::string::npos);
+  const MetricsSnapshot snap = registry.SnapshotValues();
+  EXPECT_EQ(snap.counters.at("a.count"), 3);
+  EXPECT_DOUBLE_EQ(snap.gauges.at("b.gauge"), 1.5);
+  EXPECT_EQ(snap.histograms.at("c.dist").count, 1);
 }
 
-TEST(MetricsTest, ReportIncludesMinAndStddev) {
+TEST(MetricsTest, DistributionKeepsMinAndStddev) {
   MetricsRegistry registry;
   DistributionMetric* d = registry.distribution("lat");
   d->Record(1.0);
   d->Record(2.0);
   d->Record(3.0);
-  const std::string report = registry.Report();
-  EXPECT_NE(report.find("min=1"), std::string::npos) << report;
-  EXPECT_NE(report.find("stddev=1"), std::string::npos) << report;
+  const RunningStat s = d->Snapshot();
+  EXPECT_DOUBLE_EQ(s.min(), 1.0);
+  EXPECT_DOUBLE_EQ(s.stddev(), 1.0);
   // %.6g formatting: no trailing zero spray.
   registry.gauge("g")->Set(0.3333333333333);
-  EXPECT_NE(registry.Report().find("g 0.333333"), std::string::npos);
+  EXPECT_NE(registry.PrometheusText().find("g 0.333333\n"),
+            std::string::npos);
 }
 
 TEST(MetricsTest, UnsetGaugeIsDistinguishableAndSkipped) {
@@ -86,10 +87,12 @@ TEST(MetricsTest, UnsetGaugeIsDistinguishableAndSkipped) {
   EXPECT_FALSE(g->has_value());
   EXPECT_DOUBLE_EQ(g->value(), 0.0);
   // Not rendered until set: "never measured" != "measured 0".
-  EXPECT_EQ(registry.Report().find("maybe"), std::string::npos);
+  EXPECT_EQ(registry.SnapshotValues().gauges.count("maybe"), 0u);
+  EXPECT_EQ(registry.JsonSnapshot().find("maybe"), std::string::npos);
   g->Set(0.0);
   EXPECT_TRUE(g->has_value());
-  EXPECT_NE(registry.Report().find("maybe 0"), std::string::npos);
+  EXPECT_EQ(registry.SnapshotValues().gauges.count("maybe"), 1u);
+  EXPECT_NE(registry.JsonSnapshot().find("\"maybe\":"), std::string::npos);
   g->Reset();
   EXPECT_FALSE(g->has_value());
 }
@@ -105,10 +108,9 @@ TEST(MetricsTest, LabeledFamiliesAreDistinctMembers) {
   Counter* relabeled =
       registry.counter("m", {{"b", "2"}, {"a", "1"}});
   EXPECT_EQ(registry.counter("m", {{"a", "1"}, {"b", "2"}}), relabeled);
-  const std::string report = registry.Report();
-  EXPECT_NE(report.find("pushes{worker=0} 2"), std::string::npos)
-      << report;
-  EXPECT_NE(report.find("pushes{worker=1} 5"), std::string::npos);
+  const MetricsSnapshot snap = registry.SnapshotValues();
+  EXPECT_EQ(snap.counters.at("pushes{worker=0}"), 2);
+  EXPECT_EQ(snap.counters.at("pushes{worker=1}"), 5);
 }
 
 TEST(MetricsTest, HistogramReportsQuantiles) {
@@ -116,11 +118,7 @@ TEST(MetricsTest, HistogramReportsQuantiles) {
   HistogramMetric* h = registry.histogram("iter_us");
   for (int i = 1; i <= 100; ++i) h->RecordInt(i);
   EXPECT_EQ(registry.histogram("iter_us"), h);
-  const std::string report = registry.Report();
-  EXPECT_NE(report.find("iter_us count=100"), std::string::npos)
-      << report;
-  EXPECT_NE(report.find("p50="), std::string::npos);
-  EXPECT_NE(report.find("p99="), std::string::npos);
+  EXPECT_EQ(h->count(), 100);
   EXPECT_GE(h->ValueAtQuantile(0.5), 45);
   EXPECT_LE(h->ValueAtQuantile(0.5), 55);
   EXPECT_GE(h->ValueAtQuantile(0.99), 94);
