@@ -418,6 +418,95 @@ TEST(KernelSpecialsTest, EmptyInputsAreNoOps) {
 }
 
 // ---------------------------------------------------------------------
+// Known answers: small hand-computed cases on every table, so a kernel
+// and its sequential oracle cannot drift together unnoticed.
+// ---------------------------------------------------------------------
+
+TEST(KernelKnownAnswerTest, Axpy) {
+  for (KernelIsa isa : TestableIsas()) {
+    ScopedIsa forced(isa);
+    const std::vector<double> x = {10.0, 20.0, -1.0, 0.5, 4.0};
+    std::vector<double> y = {1.0, 2.0, 3.0, 4.0, 5.0};
+    Axpy(2.0, x.data(), y.data(), x.size());
+    EXPECT_EQ(y, (std::vector<double>{21.0, 42.0, 1.0, 5.0, 13.0}));
+  }
+}
+
+TEST(KernelKnownAnswerTest, Dot) {
+  for (KernelIsa isa : TestableIsas()) {
+    ScopedIsa forced(isa);
+    const std::vector<double> x = {1.0, 2.0, 3.0, 4.0, 5.0};
+    const std::vector<double> y = {4.0, 5.0, 6.0, -1.0, 2.0};
+    EXPECT_EQ(Dot(x.data(), y.data(), 3), 32.0);
+    EXPECT_EQ(Dot(x.data(), y.data(), x.size()), 38.0);
+  }
+}
+
+TEST(KernelKnownAnswerTest, ScaleAndZero) {
+  for (KernelIsa isa : TestableIsas()) {
+    ScopedIsa forced(isa);
+    std::vector<double> x = {1.0, -2.0, 0.5, 8.0, -0.25};
+    Scale(-3.0, x.data(), x.size());
+    EXPECT_EQ(x, (std::vector<double>{-3.0, 6.0, -1.5, -24.0, 0.75}));
+    Scale(0.0, x.data(), x.size());
+    for (double v : x) EXPECT_EQ(v, 0.0);
+  }
+}
+
+TEST(KernelKnownAnswerTest, Norms) {
+  for (KernelIsa isa : TestableIsas()) {
+    ScopedIsa forced(isa);
+    const std::vector<double> x = {3.0, 4.0, 0.0, 12.0, 0.0};
+    EXPECT_EQ(SquaredNorm(x.data(), 2), 25.0);
+    EXPECT_EQ(std::sqrt(SquaredNorm(x.data(), 2)), 5.0);
+    EXPECT_EQ(SquaredNorm(x.data(), x.size()), 169.0);
+  }
+}
+
+TEST(KernelKnownAnswerTest, SquaredDistance) {
+  for (KernelIsa isa : TestableIsas()) {
+    ScopedIsa forced(isa);
+    const std::vector<double> x = {0.0, 0.0, 1.0, 2.0, -1.0};
+    const std::vector<double> y = {3.0, 4.0, 1.0, 2.0, 1.0};
+    EXPECT_EQ(SquaredDistance(x.data(), y.data(), 2), 25.0);
+    EXPECT_EQ(SquaredDistance(x.data() + 2, y.data() + 2, 2), 0.0);
+    EXPECT_EQ(SquaredDistance(x.data(), y.data(), x.size()), 29.0);
+  }
+}
+
+TEST(KernelKnownAnswerTest, CountNonZero) {
+  for (KernelIsa isa : TestableIsas()) {
+    ScopedIsa forced(isa);
+    // -0.0 == 0.0 counts in neither; NaN != 0.0 counts as nonzero but
+    // not as kept (|NaN| > 0 is false).
+    const std::vector<double> x = {0.0, 1e-9, 0.5, -0.5, -0.0, kNan};
+    size_t kept = 0;
+    EXPECT_EQ(CountNonZero(x.data(), 4, &kept), 3u);
+    EXPECT_EQ(kept, 3u);
+    EXPECT_EQ(CountNonZero(x.data(), x.size(), &kept), 4u);
+    EXPECT_EQ(kept, 3u);
+  }
+}
+
+TEST(KernelKnownAnswerTest, SparseGatherDotAndScatter) {
+  for (KernelIsa isa : TestableIsas()) {
+    ScopedIsa forced(isa);
+    const std::vector<int64_t> idx = {0, 2, 5, 6, 9};
+    const std::vector<double> val = {1.0, -2.0, 0.5, 4.0, 3.0};
+    std::vector<double> dense = {1.0, 9.0, 2.0, 9.0, 9.0,
+                                 8.0, -1.0, 9.0, 9.0, 2.0};
+    EXPECT_EQ(GatherDot(idx.data(), val.data(), idx.size(), dense.data()),
+              1.0 - 4.0 + 4.0 - 4.0 + 6.0);
+    std::vector<double> gathered(idx.size());
+    Gather(idx.data(), idx.size(), dense.data(), gathered.data());
+    EXPECT_EQ(gathered, (std::vector<double>{1.0, 2.0, 8.0, -1.0, 2.0}));
+    ScatterAxpy(2.0, idx.data(), val.data(), idx.size(), dense.data());
+    EXPECT_EQ(dense, (std::vector<double>{3.0, 9.0, -2.0, 9.0, 9.0, 9.0,
+                                          7.0, 9.0, 9.0, 8.0}));
+  }
+}
+
+// ---------------------------------------------------------------------
 // Cross-table agreement on a large mixed workload: whatever table cpuid
 // picked must agree with scalar within the reduction tolerance.
 // ---------------------------------------------------------------------

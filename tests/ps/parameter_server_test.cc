@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/dyn_sgd.h"
 #include "obs/metrics.h"
 #include "ps/worker_client.h"
+#include "util/rng.h"
 
 namespace hetps {
 namespace {
@@ -347,6 +351,166 @@ TEST(ParameterServerTest, ReadmitBehindCminIsFailedPrecondition) {
   // Retrying at the frontier succeeds.
   EXPECT_TRUE(ps.ReadmitWorker(1, ps.cmin()).ok());
   EXPECT_TRUE(ps.IsWorkerLive(1));
+}
+
+TEST(ParameterServerTest, PushTimesEachAppliedPieceOnItsPartition) {
+  // Every applied piece records one lock-wait and one apply sample on
+  // its own partition's histograms; a skipped empty piece records none.
+  MetricsRegistry registry;
+  PsOptions opts = SmallOptions();
+  opts.metrics = &registry;
+  SspRule rule;
+  ParameterServer ps(10, 1, rule, opts);
+  const int touched = ps.partitioner().PartitionOf(0);
+  ps.Push(0, 0, SparseVector({0}, {1.0}));
+  for (int p = 0; p < ps.num_partitions(); ++p) {
+    const MetricLabels labels = {{"partition", std::to_string(p)}};
+    const int64_t expected = p == touched ? 1 : 0;
+    EXPECT_EQ(registry.histogram("ps.push_apply_us", labels)->count(),
+              expected)
+        << "partition " << p;
+    EXPECT_EQ(registry.histogram("ps.push_lock_wait_us", labels)->count(),
+              expected)
+        << "partition " << p;
+  }
+  EXPECT_EQ(registry.counter("push.pieces")->value(), 1);
+  EXPECT_EQ(registry.counter("ps.push.count")->value(), 1);
+}
+
+TEST(ParameterServerTest, PullDeltaTimesEveryPartitionReadCacheHitsToo) {
+  // A pull reads every partition once, and a cache hit is still a read:
+  // each one records a ps.pull_piece_us sample and a ps.pull.count.
+  MetricsRegistry registry;
+  PsOptions opts = SmallOptions();
+  opts.metrics = &registry;
+  SspRule rule;
+  ParameterServer ps(10, 1, rule, opts);
+  ps.Push(0, 0, SparseVector({0, 3, 5, 8}, {1.0, 2.0, 3.0, 4.0}));
+  const DeltaPullResult cold = ps.PullDelta(0, {});
+  std::vector<int64_t> tags;
+  for (const PartitionPull& piece : cold.partitions) tags.push_back(piece.tag);
+  const DeltaPullResult warm = ps.PullDelta(0, tags);
+  EXPECT_EQ(warm.bytes_shipped, 0);
+  const int64_t parts = ps.num_partitions();
+  for (int p = 0; p < ps.num_partitions(); ++p) {
+    EXPECT_EQ(registry
+                  .histogram("ps.pull_piece_us",
+                             {{"partition", std::to_string(p)}})
+                  ->count(),
+              2)
+        << "partition " << p;
+  }
+  EXPECT_EQ(registry.counter("ps.pull.count")->value(), 2 * parts);
+  EXPECT_EQ(registry.counter("pull.cache_hit")->value(), parts);
+  EXPECT_EQ(registry.counter("pull.partitions_shipped")->value(), parts);
+}
+
+TEST(ParameterServerTest, PullDeltaReturnsEveryPartitionInOrder) {
+  SspRule rule;
+  ParameterServer ps(10, 2, rule, SmallOptions());
+  ps.Push(0, 0, SparseVector({1, 6}, {1.0, 2.0}));
+  ps.Push(1, 0, SparseVector({2}, {3.0}));
+  const DeltaPullResult r = ps.PullDelta(1, {});
+  ASSERT_EQ(static_cast<int>(r.partitions.size()), ps.num_partitions());
+  for (int p = 0; p < ps.num_partitions(); ++p) {
+    EXPECT_EQ(r.partitions[static_cast<size_t>(p)].partition, p);
+  }
+  EXPECT_EQ(r.cmin, 1);
+}
+
+TEST(ParameterServerTest, ShortTagVectorIsPaddedWithNoCachedTag) {
+  // Tags past the end of a short vector count as kNoCachedTag: those
+  // partitions ship whole, the listed one is answered from its tag.
+  SspRule rule;
+  ParameterServer ps(10, 1, rule, SmallOptions());
+  ps.Push(0, 0, SparseVector({0, 3, 5, 8}, {1.0, 2.0, 3.0, 4.0}));
+  const DeltaPullResult cold = ps.PullDelta(0, {});
+  const DeltaPullResult padded = ps.PullDelta(0, {cold.partitions[0].tag});
+  ASSERT_EQ(padded.partitions.size(), cold.partitions.size());
+  EXPECT_EQ(padded.partitions[0].encoding,
+            PartitionPull::Encoding::kUnchanged);
+  for (size_t p = 1; p < padded.partitions.size(); ++p) {
+    EXPECT_NE(padded.partitions[p].encoding,
+              PartitionPull::Encoding::kUnchanged)
+        << "partition " << p;
+    EXPECT_EQ(padded.partitions[p].tag, cold.partitions[p].tag);
+  }
+  EXPECT_EQ(padded.bytes_full, cold.bytes_full);
+  EXPECT_LT(padded.bytes_shipped, cold.bytes_shipped);
+}
+
+TEST(ParameterServerTest, PushPiecesAdvancesTheClockOnlyOnTheFinishingCall) {
+  // One logical push may arrive as several PushPieces calls (the
+  // simulator delivers a piece per message). Each call's pieces apply
+  // at once; the clock moves only when the finishing call lands.
+  SspRule rule;
+  ParameterServer ps(10, 1, rule, SmallOptions());
+  std::vector<std::pair<int, SparseVector>> pieces;
+  for (int p = 0; p < ps.num_partitions(); ++p) {
+    pieces.emplace_back(p, SparseVector({0}, {1.0 + p}));
+  }
+  ps.PushPieces(0, 0, {pieces[0], pieces[1]}, /*finishes_push=*/false);
+  EXPECT_EQ(ps.cmax(), 0);
+  EXPECT_EQ(ps.TotalPushes(), 2);
+  ps.PushPieces(0, 0, {pieces[2], pieces[3]}, /*finishes_push=*/true);
+  EXPECT_EQ(ps.cmax(), 1);
+  EXPECT_EQ(ps.TotalPushes(), 4);
+  const std::vector<double> w = ps.Snapshot();
+  for (int p = 0; p < ps.num_partitions(); ++p) {
+    const int64_t key = ps.partitioner().GlobalIndex(p, 0);
+    EXPECT_DOUBLE_EQ(w[static_cast<size_t>(key)], 1.0 + p);
+  }
+}
+
+TEST(ParameterServerTest, EvictedPiecePushIsCountedOnceOnTheFinishingCall) {
+  MetricsRegistry registry;
+  PsOptions opts = SmallOptions();
+  opts.metrics = &registry;
+  SspRule rule;
+  ParameterServer ps(10, 2, rule, opts);
+  ASSERT_TRUE(ps.EvictWorker(1));
+  Counter* dropped = registry.counter("ps.evicted_pushes_dropped");
+  const std::vector<std::pair<int, SparseVector>> piece = {
+      {ps.partitioner().PartitionOf(2), SparseVector({2}, {5.0})}};
+  ps.PushPieces(1, 0, piece, /*finishes_push=*/false);
+  EXPECT_EQ(dropped->value(), 0);
+  ps.PushPieces(1, 0, piece, /*finishes_push=*/true);
+  EXPECT_EQ(dropped->value(), 1);
+  EXPECT_EQ(ps.TotalPushes(), 0);
+  EXPECT_DOUBLE_EQ(ps.Snapshot()[2], 0.0);
+  EXPECT_EQ(ps.cmax(), 0);
+}
+
+TEST(ParameterServerTest, PartitionCountDoesNotChangeAppliedState) {
+  // A push applies piece by piece, each piece local to its shard, so
+  // the same push sequence lands on the same model whether it is split
+  // over one partition or eight.
+  DynSgdRule rule;
+  auto run = [&rule](int servers, int parts_per_server) {
+    PsOptions opts;
+    opts.num_servers = servers;
+    opts.partitions_per_server = parts_per_server;
+    opts.sync = SyncPolicy::Asp();
+    ParameterServer ps(128, 2, rule, opts);
+    Rng rng(9);
+    for (int c = 0; c < 20; ++c) {
+      for (int m = 0; m < 2; ++m) {
+        SparseVector u;
+        for (int64_t j = 0; j < ps.dim(); ++j) {
+          if (rng.NextBernoulli(0.2)) u.PushBack(j, 0.1 * (m + 1));
+        }
+        ps.Push(m, c, u);
+      }
+    }
+    EXPECT_EQ(ps.cmin(), 20);
+    return ps.Snapshot();
+  };
+  const std::vector<double> one = run(1, 1);
+  const std::vector<double> eight = run(2, 4);
+  ASSERT_EQ(one.size(), eight.size());
+  for (size_t i = 0; i < one.size(); ++i) {
+    EXPECT_DOUBLE_EQ(one[i], eight[i]) << "index " << i;
+  }
 }
 
 TEST(ParameterServerTest, DebugStringDescribesSetup) {

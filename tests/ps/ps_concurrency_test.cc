@@ -282,5 +282,80 @@ TEST(PsConcurrencyTest, ConcurrentPushesAndPullsAllLand) {
   EXPECT_EQ(ps.cmax(), kClocks);
 }
 
+// Pulls stamp per-worker read state but never change content: with no
+// push in flight, concurrent whole-model pulls from every worker all
+// return the model exactly.
+TEST(PsConcurrencyTest, ConcurrentPullsAtRestAllSeeTheModel) {
+  DynSgdRule rule;
+  const int kWorkers = 4;
+  PsOptions opts = StressOptions();
+  opts.partitions_per_server = 4;
+  ParameterServer ps(128, kWorkers, rule, opts);
+  Rng rng(5);
+  for (int m = 0; m < kWorkers; ++m) {
+    SparseVector u;
+    for (int64_t j = 0; j < ps.dim(); ++j) {
+      if (rng.NextBernoulli(0.3)) u.PushBack(j, rng.NextDouble());
+    }
+    ps.Push(m, 0, u);
+  }
+  const std::vector<double> expected = ps.Snapshot();
+  std::vector<std::thread> threads;
+  for (int m = 0; m < kWorkers; ++m) {
+    threads.emplace_back([&, m] {
+      for (int i = 0; i < 20; ++i) {
+        EXPECT_EQ(PullWhole(&ps, m), expected) << "worker " << m;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+}
+
+// Workers deliver each push as one PushPieces call per partition (as
+// the columnar wire path and the simulator do), concurrently. Every
+// update value is exact in binary, so the sums cannot depend on the
+// interleaving: the final model is exactly the total of all pushes.
+TEST(PsConcurrencyTest, ConcurrentPiecewisePushesAllLand) {
+  SspRule rule;
+  const int kWorkers = 4;
+  const int kClocks = 30;
+  PsOptions opts = StressOptions();
+  opts.partitions_per_server = 4;
+  ParameterServer ps(64, kWorkers, rule, opts);
+  std::vector<std::vector<double>> totals(
+      kWorkers, std::vector<double>(static_cast<size_t>(ps.dim()), 0.0));
+  std::vector<std::thread> threads;
+  for (int m = 0; m < kWorkers; ++m) {
+    threads.emplace_back([&, m] {
+      Rng rng(300 + m);
+      std::vector<double>& total = totals[static_cast<size_t>(m)];
+      for (int c = 0; c < kClocks; ++c) {
+        SparseVector u;
+        for (int64_t j = 0; j < ps.dim(); ++j) {
+          if (rng.NextBernoulli(0.25)) {
+            u.PushBack(j, 0.25 * (m + 1));
+            total[static_cast<size_t>(j)] += 0.25 * (m + 1);
+          }
+        }
+        const std::vector<SparseVector> split =
+            ps.partitioner().SplitByPartition(u);
+        for (size_t p = 0; p < split.size(); ++p) {
+          ps.PushPieces(m, c, {{static_cast<int>(p), split[p]}},
+                        /*finishes_push=*/p + 1 == split.size());
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(ps.cmin(), kClocks);
+  EXPECT_EQ(ps.cmax(), kClocks);
+  const std::vector<double> w = ps.Snapshot();
+  for (size_t j = 0; j < w.size(); ++j) {
+    double sum = 0.0;
+    for (const auto& total : totals) sum += total[j];
+    EXPECT_EQ(w[j], sum) << "key " << j;
+  }
+}
+
 }  // namespace
 }  // namespace hetps

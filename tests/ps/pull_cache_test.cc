@@ -1,7 +1,6 @@
 // Version-aware pull path: partition content tags, delta encoding,
 // client cache coherence, checkpoint-restore invalidation, and tag
-// monotonicity under concurrent traffic (run under TSan in CI — the
-// shard-parallel assembly pool is exercised here).
+// monotonicity under concurrent traffic (run under TSan in CI).
 
 #include <gtest/gtest.h>
 
@@ -304,6 +303,51 @@ TEST(PullCacheTest, PlannedBytesEqualShippedBytesUnderRandomTraffic) {
   }
 }
 
+TEST(PullCacheTest, PullDeltaMatchesPartitionByPartitionReads) {
+  // PullDelta is BuildPartitionPull over every partition in order: two
+  // servers fed the same traffic, one pulled whole and one read a
+  // partition at a time, answer with the same pieces, tags and bytes.
+  SspRule rule;
+  const PsOptions opts = MultiPartOptions(SyncPolicy::Asp(), 2, 4);
+  ParameterServer whole(128, 1, rule, opts);
+  ParameterServer by_piece(128, 1, rule, opts);
+  const size_t parts = static_cast<size_t>(whole.num_partitions());
+  std::vector<int64_t> tags(parts, kNoCachedTag);
+  Rng rng(77);
+  for (int c = 0; c < 10; ++c) {
+    std::vector<int64_t> idx;
+    std::vector<double> val;
+    for (int64_t key = static_cast<int64_t>(rng.NextUint64(4)); key < 128;
+         key += 1 + static_cast<int64_t>(rng.NextUint64(c < 5 ? 16 : 64))) {
+      idx.push_back(key);
+      val.push_back(rng.NextDouble());
+    }
+    const SparseVector update(idx, val);
+    whole.Push(0, c, update);
+    by_piece.Push(0, c, update);
+    const DeltaPullResult r = whole.PullDelta(0, tags);
+    ASSERT_EQ(r.partitions.size(), parts);
+    int64_t bytes = 0;
+    for (size_t p = 0; p < parts; ++p) {
+      PiecePullPlan plan;
+      const PartitionPull b = by_piece.BuildPartitionPull(
+          static_cast<int>(p), 0, /*version=*/-1, tags[p], &plan);
+      const PartitionPull& a = r.partitions[p];
+      EXPECT_EQ(a.partition, b.partition);
+      EXPECT_EQ(a.encoding, b.encoding) << "clock " << c << " part " << p;
+      EXPECT_EQ(a.tag, b.tag);
+      EXPECT_EQ(a.base_tag, b.base_tag);
+      EXPECT_EQ(a.dense, b.dense);
+      EXPECT_TRUE(a.sparse == b.sparse);
+      EXPECT_EQ(plan.bytes, ShippedBytes(b));
+      bytes += plan.bytes;
+      tags[p] = a.tag;
+    }
+    EXPECT_EQ(r.bytes_shipped, bytes);
+  }
+  EXPECT_EQ(whole.Snapshot(), by_piece.Snapshot());
+}
+
 TEST(PullCacheTest, TrainerMutatingItsReplicaDoesNotPoisonTheCache) {
   // The trainer scribbles on the replica it was handed (local SGD).
   // The client's pristine cache must be unaffected: the next pull still
@@ -354,7 +398,7 @@ TEST(PullCacheTest, ObservedPartitionVersionsNeverRegress) {
   // a worker must never observe a partition *older* than one it already
   // pulled. Live tags encode the shard's push count, so within one epoch
   // TagValue must be non-decreasing per partition. This is also the TSan
-  // workout for the shard-parallel assembly pool.
+  // workout for partition reads racing piece applies.
   SspRule rule;
   ParameterServer ps(64, 3, rule, MultiPartOptions(SyncPolicy::Asp()));
   std::atomic<bool> stop{false};

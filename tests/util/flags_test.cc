@@ -64,5 +64,21 @@ TEST(FlagParserTest, UnusedFlagsDetectTypos) {
   EXPECT_EQ(unused[0], "lr");
 }
 
+TEST(FlagParserTest, EveryReadFlagCountsAsUsed) {
+  // A flag counts as used once any getter reads it, whatever its type
+  // and whether or not the value differs from the default; only flags
+  // no getter asked for are reported.
+  FlagParser p = Parsed(
+      {"--workers=4", "--rate=0.5", "--trace", "--name=x", "--extra=1"});
+  EXPECT_EQ(p.GetInt("workers", 1).value(), 4);
+  EXPECT_DOUBLE_EQ(p.GetDouble("rate", 0.5).value(), 0.5);
+  EXPECT_TRUE(p.GetBool("trace", false));
+  EXPECT_EQ(p.GetString("name", ""), "x");
+  EXPECT_EQ(p.GetInt("absent", 7).value(), 7);
+  const auto unused = p.UnusedFlags();
+  ASSERT_EQ(unused.size(), 1u);
+  EXPECT_EQ(unused[0], "extra");
+}
+
 }  // namespace
 }  // namespace hetps

@@ -201,6 +201,45 @@ TEST(MetricsTest, JsonSnapshotShape) {
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
 }
 
+TEST(MetricsTest, SnapshotValuesIsAPointInTimeCopy) {
+  MetricsRegistry registry;
+  Counter* c = registry.counter("c");
+  HistogramMetric* h = registry.histogram("h");
+  c->Increment(2);
+  h->RecordInt(4);
+  const MetricsSnapshot before = registry.SnapshotValues();
+  c->Increment(5);
+  h->RecordInt(6);
+  registry.gauge("late")->Set(1.0);
+  EXPECT_EQ(before.counters.at("c"), 2);
+  EXPECT_EQ(before.histograms.at("h").count, 1);
+  EXPECT_DOUBLE_EQ(before.histograms.at("h").sum, 4.0);
+  EXPECT_EQ(before.gauges.count("late"), 0u);
+  const MetricsSnapshot after = registry.SnapshotValues();
+  EXPECT_EQ(after.counters.at("c"), 7);
+  EXPECT_EQ(after.histograms.at("h").count, 2);
+  EXPECT_DOUBLE_EQ(after.histograms.at("h").sum, 10.0);
+  EXPECT_DOUBLE_EQ(after.gauges.at("late"), 1.0);
+}
+
+TEST(MetricsTest, LabeledHistogramsSnapshotUnderTheirFullKey) {
+  // Per-partition families (ps.push_apply_us{partition=p}) are read
+  // back by their full key in both the typed snapshot and the JSON.
+  MetricsRegistry registry;
+  registry.histogram("lat_us", {{"partition", "0"}})->RecordInt(3);
+  registry.histogram("lat_us", {{"partition", "1"}})->RecordInt(5);
+  registry.histogram("lat_us", {{"partition", "1"}})->RecordInt(7);
+  const MetricsSnapshot snap = registry.SnapshotValues();
+  EXPECT_EQ(snap.histograms.at("lat_us{partition=0}").count, 1);
+  EXPECT_EQ(snap.histograms.at("lat_us{partition=1}").count, 2);
+  EXPECT_DOUBLE_EQ(snap.histograms.at("lat_us{partition=1}").sum, 12.0);
+  EXPECT_EQ(snap.histograms.count("lat_us"), 0u);
+  const std::string json = registry.JsonSnapshot();
+  EXPECT_NE(json.find("\"lat_us{partition=1}\":{\"count\":2,"),
+            std::string::npos)
+      << json;
+}
+
 TEST(MetricsTest, ResetValuesKeepsPointersValid) {
   MetricsRegistry registry;
   Counter* c = registry.counter("c");
